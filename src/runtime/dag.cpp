@@ -1,6 +1,7 @@
 #include "runtime/dag.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 namespace psched::rt {
@@ -54,8 +55,22 @@ double DagRecorder::critical_path_us(double pcie_bytes_per_us) const {
   // Vertex ids (and epochs) are monotone in submission order, so one
   // forward pass relaxes every edge. Each vertex starts no earlier than
   // the finish floor of all previous epochs: even with unlimited hardware
-  // the host cannot issue work past a blocking read.
-  std::vector<double> longest(vertices_.size(), 0);
+  // the host cannot issue work past a blocking read. O(V + E): the
+  // in-edges are grouped once by a counting sort of edges_ on `to`, so
+  // preds[first[i] .. first[i + 1]) are the sources of vertex i.
+  const std::size_t n = vertices_.size();
+  std::vector<std::size_t> first(n + 1, 0);
+  for (const auto& edge : edges_) {
+    ++first[static_cast<std::size_t>(edge.second)];
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<std::size_t> preds(edges_.size());
+  for (const auto& [from, to] : edges_) {
+    std::size_t& end = first[static_cast<std::size_t>(to)];
+    preds[--end] = static_cast<std::size_t>(from);
+  }
+
+  std::vector<double> longest(n, 0);
   double best = 0;
   double epoch_floor = 0;   // max finish over all completed epochs
   double epoch_best = 0;    // max finish inside the current epoch
@@ -65,17 +80,15 @@ double DagRecorder::critical_path_us(double pcie_bytes_per_us) const {
                             ? v.transfer_bytes / pcie_bytes_per_us
                             : 0);
   };
-  for (std::size_t i = 0; i < vertices_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const Vertex& v = vertices_[i];
     if (v.epoch != epoch) {
       epoch_floor = std::max(epoch_floor, epoch_best);
       epoch = v.epoch;
     }
     longest[i] = epoch_floor + own_cost(v);
-    for (const auto& [from, to] : edges_) {
-      if (static_cast<std::size_t>(to) != i) continue;
-      longest[i] = std::max(
-          longest[i], longest[static_cast<std::size_t>(from)] + own_cost(v));
+    for (std::size_t p = first[i]; p < first[i + 1]; ++p) {
+      longest[i] = std::max(longest[i], longest[preds[p]] + own_cost(v));
     }
     epoch_best = std::max(epoch_best, longest[i]);
     best = std::max(best, longest[i]);

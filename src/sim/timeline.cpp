@@ -55,40 +55,55 @@ IntervalSet Timeline::transfer_cover() const {
 }
 
 OverlapMetrics Timeline::overlap_metrics() const {
-  OverlapMetrics m;
-  const IntervalSet kernels = kernel_cover();
-  const IntervalSet transfers = transfer_cover();
+  // One sweep over the sorted endpoints of the counted entries, tracking
+  // the number of active kernels k and active transfers x. The part of an
+  // entry that overlaps the union of all *other* entries is exactly the
+  // part where at least two entries are active, so over each segment dt:
+  //   CT += k*dt if x>0,  TC += x*dt if k>0,  CC += k*dt if k>=2,
+  //   TOT += (k+x)*dt if k+x>=2.
+  // Intervals are half-open: every event at a timestamp is applied before
+  // the next segment is measured, so touching endpoints never overlap.
+  struct Event {
+    TimeUs t;
+    int dk;
+    int dx;
+  };
+  std::vector<Event> events;
+  events.reserve(2 * entries_.size());
+  for (const auto& e : entries_) {
+    if (!counts_for_makespan(e) || e.end <= e.start) continue;
+    const int k = e.kind == OpKind::Kernel ? 1 : 0;
+    const int x = is_transfer(e.kind) ? 1 : 0;
+    events.push_back({e.start, k, x});
+    events.push_back({e.end, -k, -x});
+  }
+  std::sort(events.begin(), events.end(),
+            [](const Event& a, const Event& b) { return a.t < b.t; });
 
   TimeUs kernel_total = 0, kernel_ct = 0, kernel_cc = 0;
   TimeUs transfer_total = 0, transfer_tc = 0;
   TimeUs any_total = 0, any_overlap = 0;
-
-  for (const auto& e : entries_) {
-    if (!counts_for_makespan(e)) continue;
-    const Interval iv = e.interval();
-    if (e.kind == OpKind::Kernel) {
-      kernel_total += iv.length();
-      kernel_ct += transfers.intersection_measure(iv);
-      // CC: overlap with *other* kernels. Remove this entry's own interval
-      // by building the union of all other kernel intervals.
-      std::vector<Interval> others;
-      for (const auto& o : entries_) {
-        if (&o != &e && o.kind == OpKind::Kernel) others.push_back(o.interval());
-      }
-      kernel_cc += IntervalSet(std::move(others)).intersection_measure(iv);
-    } else if (is_transfer(e.kind)) {
-      transfer_total += iv.length();
-      transfer_tc += kernels.intersection_measure(iv);
+  long k = 0, x = 0;
+  TimeUs prev = events.empty() ? 0 : events.front().t;
+  for (const Event& ev : events) {
+    if (ev.t > prev) {
+      const TimeUs dt = ev.t - prev;
+      const TimeUs kernel_time = static_cast<TimeUs>(k) * dt;
+      const TimeUs transfer_time = static_cast<TimeUs>(x) * dt;
+      kernel_total += kernel_time;
+      transfer_total += transfer_time;
+      any_total += kernel_time + transfer_time;
+      if (x > 0) kernel_ct += kernel_time;
+      if (k > 0) transfer_tc += transfer_time;
+      if (k >= 2) kernel_cc += kernel_time;
+      if (k + x >= 2) any_overlap += kernel_time + transfer_time;
+      prev = ev.t;
     }
-    // TOT: overlap with the union of all other ops (counted once).
-    std::vector<Interval> others;
-    for (const auto& o : entries_) {
-      if (&o != &e && counts_for_makespan(o)) others.push_back(o.interval());
-    }
-    any_total += iv.length();
-    any_overlap += IntervalSet(std::move(others)).intersection_measure(iv);
+    k += ev.dk;
+    x += ev.dx;
   }
 
+  OverlapMetrics m;
   m.ct = kernel_total > 0 ? kernel_ct / kernel_total : 0;
   m.tc = transfer_total > 0 ? transfer_tc / transfer_total : 0;
   m.cc = kernel_total > 0 ? kernel_cc / kernel_total : 0;
@@ -97,6 +112,10 @@ OverlapMetrics Timeline::overlap_metrics() const {
 }
 
 std::string Timeline::render_ascii(int width) const {
+  if (width < 1) {
+    throw ApiError("Timeline::render_ascii: width must be >= 1, got " +
+                   std::to_string(width));
+  }
   std::ostringstream out;
   const TimeUs t0 = begin_time();
   const TimeUs t1 = end_time();

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "runtime/dag.hpp"
 #include "rt_test_util.hpp"
 
@@ -15,6 +18,80 @@ Computation make_comp(long id, const std::string& label, double solo_us = 10,
   c.transfer_bytes = bytes;
   return c;
 }
+
+// Reference for critical_path_us(): the same forward pass, but scanning the
+// whole edge list for every vertex's in-edges, O(V * E). Kept here as the
+// oracle for the counting-sort version.
+double critical_path_oracle(const DagRecorder& dag, double pcie_bytes_per_us) {
+  const auto& vs = dag.vertices();
+  std::vector<double> longest(vs.size(), 0);
+  double best = 0, epoch_floor = 0, epoch_best = 0;
+  long epoch = 0;
+  auto own_cost = [pcie_bytes_per_us](const DagRecorder::Vertex& v) {
+    return v.solo_us + (pcie_bytes_per_us > 0
+                            ? v.transfer_bytes / pcie_bytes_per_us
+                            : 0);
+  };
+  for (std::size_t i = 0; i < vs.size(); ++i) {
+    if (vs[i].epoch != epoch) {
+      epoch_floor = std::max(epoch_floor, epoch_best);
+      epoch = vs[i].epoch;
+    }
+    longest[i] = epoch_floor + own_cost(vs[i]);
+    for (const auto& [from, to] : dag.edges()) {
+      if (static_cast<std::size_t>(to) != i) continue;
+      longest[i] = std::max(longest[i],
+                            longest[static_cast<std::size_t>(from)] +
+                                own_cost(vs[i]));
+    }
+    epoch_best = std::max(epoch_best, longest[i]);
+    best = std::max(best, longest[i]);
+  }
+  return best;
+}
+
+// A seeded random DAG: vertices with non-integer costs and transfer sizes,
+// a host barrier now and then, and edges from earlier to later vertices
+// (some repeated, some spanning barriers). build() adds the edges in the
+// order given, so the same DAG can be recorded with its edges shuffled.
+struct RandomDag {
+  std::vector<Computation> comps;
+  std::vector<long> barrier_before;  // vertex ids preceded by a barrier
+  std::vector<std::pair<long, long>> edges;
+
+  explicit RandomDag(unsigned seed) {
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> cost(0.1, 100.0);
+    std::uniform_real_distribution<double> bytes(0, 1e6);
+    const long n = 50 + static_cast<long>(seed % 5) * 40;
+    for (long i = 0; i < n; ++i) {
+      comps.push_back(make_comp(i, "v", cost(rng),
+                                rng() % 3 == 0 ? bytes(rng) : 0));
+      if (i > 0 && rng() % 15 == 0) barrier_before.push_back(i);
+      const long fan_in = i == 0 ? 0 : static_cast<long>(rng() % 4);
+      for (long k = 0; k < fan_in; ++k) {
+        // Mostly near predecessors, sometimes far back across barriers.
+        const long back = rng() % 4 == 0 ? static_cast<long>(rng() % i) + 1
+                                         : static_cast<long>(rng() % 3) + 1;
+        edges.emplace_back(std::max(0L, i - back), i);
+      }
+    }
+  }
+
+  DagRecorder build(const std::vector<std::pair<long, long>>& order) const {
+    DagRecorder dag;
+    std::size_t b = 0;
+    for (const Computation& c : comps) {
+      if (b < barrier_before.size() && barrier_before[b] == c.id) {
+        dag.host_barrier();
+        ++b;
+      }
+      dag.add_vertex(c);
+    }
+    for (const auto& [from, to] : order) dag.add_edge(from, to);
+    return dag;
+  }
+};
 
 TEST(Dag, VerticesAndEdges) {
   DagRecorder dag;
@@ -121,6 +198,30 @@ TEST(Dag, BarrierWithNoLaterWorkIsHarmless) {
   dag.add_vertex(make_comp(0, "only", 7));
   dag.host_barrier();
   EXPECT_DOUBLE_EQ(dag.critical_path_us(0), 7);
+}
+
+TEST(Dag, CriticalPathMatchesEdgeScanOracle) {
+  for (unsigned seed = 0; seed < 24; ++seed) {
+    const RandomDag g(seed);
+    const DagRecorder dag = g.build(g.edges);
+    ASSERT_FALSE(g.barrier_before.empty()) << seed;
+    for (double pcie : {0.0, 1.2e4}) {
+      EXPECT_EQ(dag.critical_path_us(pcie), critical_path_oracle(dag, pcie))
+          << "seed " << seed << " pcie " << pcie;
+    }
+  }
+}
+
+TEST(Dag, CriticalPathIndependentOfEdgeOrder) {
+  for (unsigned seed = 0; seed < 24; ++seed) {
+    const RandomDag g(seed);
+    auto shuffled = g.edges;
+    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(seed + 1000));
+    const DagRecorder a = g.build(g.edges);
+    const DagRecorder b = g.build(shuffled);
+    EXPECT_EQ(a.critical_path_us(0), b.critical_path_us(0)) << seed;
+    EXPECT_EQ(a.critical_path_us(1.2e4), b.critical_path_us(1.2e4)) << seed;
+  }
 }
 
 TEST(Dag, DotExportContainsStructure) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
+
 #include "sim/timeline.hpp"
 
 namespace psched::sim {
@@ -14,6 +17,91 @@ TimelineEntry entry(OpKind kind, StreamId stream, TimeUs start, TimeUs end,
   e.end = end;
   e.name = name;
   return e;
+}
+
+// Reference for overlap_metrics(): the direct per-entry reading of
+// section V-F. For every counted entry it measures the overlap with the
+// union of all *other* entries, rebuilding that union from scratch, so it
+// costs O(n^2 log n). Kept here as the oracle for the one-sweep version.
+OverlapMetrics overlap_oracle(const Timeline& t) {
+  auto counted = [](const TimelineEntry& e) {
+    return e.kind != OpKind::Marker && e.kind != OpKind::Host;
+  };
+  const std::vector<TimelineEntry>& entries = t.entries();
+  const IntervalSet kernels = t.kernel_cover();
+  const IntervalSet transfers = t.transfer_cover();
+
+  TimeUs kernel_total = 0, kernel_ct = 0, kernel_cc = 0;
+  TimeUs transfer_total = 0, transfer_tc = 0;
+  TimeUs any_total = 0, any_overlap = 0;
+  for (const auto& e : entries) {
+    if (!counted(e)) continue;
+    const Interval iv = e.interval();
+    if (e.kind == OpKind::Kernel) {
+      kernel_total += iv.length();
+      kernel_ct += transfers.intersection_measure(iv);
+      std::vector<Interval> others;
+      for (const auto& o : entries) {
+        if (&o != &e && o.kind == OpKind::Kernel) {
+          others.push_back(o.interval());
+        }
+      }
+      kernel_cc += IntervalSet(std::move(others)).intersection_measure(iv);
+    } else if (is_transfer(e.kind)) {
+      transfer_total += iv.length();
+      transfer_tc += kernels.intersection_measure(iv);
+    }
+    std::vector<Interval> others;
+    for (const auto& o : entries) {
+      if (&o != &e && counted(o)) others.push_back(o.interval());
+    }
+    any_total += iv.length();
+    any_overlap += IntervalSet(std::move(others)).intersection_measure(iv);
+  }
+  OverlapMetrics m;
+  m.ct = kernel_total > 0 ? kernel_ct / kernel_total : 0;
+  m.tc = transfer_total > 0 ? transfer_tc / transfer_total : 0;
+  m.cc = kernel_total > 0 ? kernel_cc / kernel_total : 0;
+  m.tot = any_total > 0 ? any_overlap / any_total : 0;
+  return m;
+}
+
+// A seeded random timeline of a few hundred entries on a coarse time grid
+// (so endpoints often coincide), with every counted kind, exact duplicates,
+// ops that start where another ends, zero-length ops, and Marker and Host
+// spans that the metrics must ignore.
+std::vector<TimelineEntry> random_entries(unsigned seed) {
+  std::mt19937 rng(seed);
+  constexpr OpKind kKinds[] = {OpKind::Kernel,  OpKind::CopyH2D,
+                               OpKind::CopyD2H, OpKind::Fault,
+                               OpKind::CopyP2P, OpKind::Marker,
+                               OpKind::Host};
+  std::uniform_int_distribution<int> kind_of(0, 6);
+  std::uniform_int_distribution<int> tick(0, 400);
+  std::uniform_int_distribution<int> ticks(0, 12);
+  std::uniform_int_distribution<int> shape(0, 9);
+  const TimeUs unit = 0.25 + seed;  // grid multiples stay exact
+  std::vector<TimelineEntry> out;
+  const int n = 200 + static_cast<int>(seed % 7) * 30;
+  for (int i = 0; i < n; ++i) {
+    const OpKind kind = kKinds[kind_of(rng)];
+    const int s = shape(rng);
+    TimeUs start = tick(rng) * unit;
+    if (s == 0 && !out.empty()) {
+      out.push_back(out[rng() % out.size()]);  // exact duplicate
+      continue;
+    }
+    if (s == 1 && !out.empty()) start = out[rng() % out.size()].end;  // touch
+    const TimeUs len = s == 2 ? 0 : ticks(rng) * unit;  // zero-length ops
+    out.push_back(entry(kind, i % 5, start, start + len));
+  }
+  return out;
+}
+
+void expect_near_rel(double got, double want, const char* what,
+                     unsigned seed) {
+  EXPECT_LE(std::abs(got - want), 1e-12 * std::max(1.0, std::abs(want)))
+      << what << " seed " << seed << ": got " << got << " want " << want;
 }
 
 TEST(Timeline, EmptyDefaults) {
@@ -76,10 +164,16 @@ TEST(Timeline, OverlapTwoIdenticalKernels) {
 }
 
 TEST(Timeline, OverlapSerialScheduleIsZero) {
+  // Half-open intervals: ops that only meet at endpoints do not overlap,
+  // nor do a zero-length kernel and a Host span sitting on the seams.
   Timeline t;
   t.record(entry(OpKind::CopyH2D, 0, 0, 5));
   t.record(entry(OpKind::Kernel, 0, 5, 15));
   t.record(entry(OpKind::CopyD2H, 0, 15, 20));
+  t.record(entry(OpKind::CopyP2P, 1, 20, 30));
+  t.record(entry(OpKind::Fault, 2, 30, 40));
+  t.record(entry(OpKind::Kernel, 3, 15, 15));
+  t.record(entry(OpKind::Host, 4, 0, 40));
   const OverlapMetrics m = t.overlap_metrics();
   EXPECT_DOUBLE_EQ(m.ct, 0);
   EXPECT_DOUBLE_EQ(m.tc, 0);
@@ -144,6 +238,49 @@ TEST(Timeline, AsciiRenderContainsStreamsAndNames) {
   EXPECT_NE(s.find("S1"), std::string::npos);
   EXPECT_NE(s.find("matmul"), std::string::npos);
   EXPECT_NE(s.find('>'), std::string::npos);  // transfer glyph
+}
+
+TEST(Timeline, AsciiRenderRejectsNonPositiveWidth) {
+  Timeline t;
+  t.record(entry(OpKind::Kernel, 0, 0, 10, "k"));
+  EXPECT_THROW((void)t.render_ascii(0), ApiError);
+  EXPECT_THROW((void)t.render_ascii(-3), ApiError);
+  EXPECT_NE(t.render_ascii(1).find("S0 |k|"), std::string::npos);
+}
+
+TEST(Timeline, OverlapMatchesPerEntryOracleOnRandomTimelines) {
+  for (unsigned seed = 0; seed < 24; ++seed) {
+    Timeline t;
+    for (const auto& e : random_entries(seed)) t.record(e);
+    const OverlapMetrics got = t.overlap_metrics();
+    const OverlapMetrics want = overlap_oracle(t);
+    expect_near_rel(got.ct, want.ct, "ct", seed);
+    expect_near_rel(got.tc, want.tc, "tc", seed);
+    expect_near_rel(got.cc, want.cc, "cc", seed);
+    expect_near_rel(got.tot, want.tot, "tot", seed);
+    // Every metric is exercised, not vacuously zero or one.
+    EXPECT_GT(want.cc, 0) << seed;
+    EXPECT_LT(want.tot, 1) << seed;
+  }
+}
+
+TEST(Timeline, OverlapIgnoresMarkersHostSpansAndZeroLengthOps) {
+  for (unsigned seed = 0; seed < 8; ++seed) {
+    Timeline all, counted;
+    for (const auto& e : random_entries(seed)) {
+      all.record(e);
+      if (e.kind != OpKind::Marker && e.kind != OpKind::Host &&
+          e.end > e.start) {
+        counted.record(e);
+      }
+    }
+    const OverlapMetrics a = all.overlap_metrics();
+    const OverlapMetrics c = counted.overlap_metrics();
+    EXPECT_EQ(a.ct, c.ct) << seed;
+    EXPECT_EQ(a.tc, c.tc) << seed;
+    EXPECT_EQ(a.cc, c.cc) << seed;
+    EXPECT_EQ(a.tot, c.tot) << seed;
+  }
 }
 
 TEST(Timeline, CoverMergesAdjacentOps) {

@@ -483,7 +483,7 @@ IngestRig make_ingest_rig(int n_tenants) {
     for (int w = 0; w < kIngestStreamsPerTenant; ++w)
       ss.push_back(ten.create_stream());
     rig.streams.push_back(std::move(ss));
-    sim::GpuRuntime& g = ten.gpu();
+    sim::GpuRuntime& g = *rig.rt;
     g.begin_record(rig.subs[static_cast<std::size_t>(t)]);
     issue_ingest_round(ten, rig, t);
     rig.ops_per_round = static_cast<long>(g.end_record());

@@ -73,7 +73,7 @@ inline sim::LaunchSpec app_kernel(const std::string& name) {
 /// round-robined over the app's streams), 1 = deep (a cross-stream event
 /// chain), 2 = diamond (root -> children -> join). Every kernel writes
 /// one of the app's arrays so residency, freshness, and eviction churn.
-inline void submit_round(sim::Tenant& app,
+inline void submit_round(sim::GpuRuntime& rt, sim::Tenant& app,
                          const std::vector<sim::StreamId>& streams,
                          const std::vector<sim::ArrayId>& arrays, int shape,
                          int kernels_per_round) {
@@ -90,14 +90,14 @@ inline void submit_round(sim::Tenant& app,
     const sim::StreamId s = stream_of(i);
     switch (shape) {
       case 1:  // deep: kernel i waits kernel i-1 across streams
-        if (prev != sim::kInvalidEvent) app.stream_wait_event(s, prev);
+        if (prev != sim::kInvalidEvent) rt.stream_wait_event(s, prev);
         break;
       case 2:  // diamond: children wait the root, the join collects all
         if (i > 0 && i + 1 < kernels_per_round) {
-          app.stream_wait_event(s, child_evs.front());  // root's event
+          rt.stream_wait_event(s, child_evs.front());  // root's event
         } else if (i + 1 == kernels_per_round) {
           for (std::size_t c = 1; c < child_evs.size(); ++c) {
-            app.stream_wait_event(s, child_evs[c]);
+            rt.stream_wait_event(s, child_evs[c]);
           }
         }
         break;
@@ -107,11 +107,11 @@ inline void submit_round(sim::Tenant& app,
     k.arrays = {{array_of(i), /*write=*/true}};
     app.launch(s, k);
     if (shape == 1) {
-      prev = app.create_event();
-      app.record_event(prev, s);
+      prev = rt.create_event();
+      rt.record_event(prev, s);
     } else if (shape == 2 && i + 1 < kernels_per_round) {
-      const sim::EventId ev = app.create_event();
-      app.record_event(ev, s);
+      const sim::EventId ev = rt.create_event();
+      rt.record_event(ev, s);
       child_evs.push_back(ev);
     }
   }
@@ -180,7 +180,7 @@ inline MultiAppMetrics run_multi_app_once(int n_tenants, bool smoke) {
   // backlog contends in the shared kernel class for the whole run.
   for (int r = 0; r < rounds; ++r) {
     for (App& app : apps) {
-      detail::submit_round(*app.tenant, app.streams, app.arrays, r % 3,
+      detail::submit_round(rt, *app.tenant, app.streams, app.arrays, r % 3,
                            kernels_per_round);
     }
   }

@@ -10,17 +10,18 @@ namespace psched::rt {
 
 Context::Context(sim::GpuRuntime& gpu, Options opts)
     : gpu_(&gpu), opts_(opts) {
-  streams_ = std::make_unique<StreamManager>(gpu, opts_.stream_policy);
-  placer_ = std::make_unique<DevicePlacer>(gpu, opts_.device_policy);
+  streams_ = std::make_unique<StreamManager>(gpu, opts_.stream_policy,
+                                             opts_.tenant);
+  placer_ = std::make_unique<DevicePlacer>(gpu, opts_.device_policy,
+                                           opts_.tenant);
 }
 
 Context::~Context() {
   // Drain in-flight work so functional closures never outlive the context.
   try {
-    // Same invariant as every public entry point: the flush below must
-    // not run with another context's tenant ambient.
-    flush_ingest();
-    activate();
+    // Fold this tenant's queued ingest work into the open batch before
+    // closing it.
+    gpu_->flush_ingest(opts_.tenant);
     if (opts_.batch_submit && gpu_->submitting()) gpu_->commit();
     gpu_->synchronize_device();
   } catch (...) {
@@ -30,19 +31,18 @@ Context::~Context() {
 }
 
 DeviceArray Context::array(DType dtype, std::size_t n, std::string name) {
-  activate();
   auto state = std::make_shared<ArrayState>();
   state->ctx = this;
   state->dtype = dtype;
   state->size = n;
   state->name = name.empty() ? "arr" + std::to_string(arrays_.size()) : name;
-  state->sim_id = gpu_->alloc(n * dtype_size(dtype), state->name);
+  state->sim_id =
+      gpu_->alloc(n * dtype_size(dtype), state->name, opts_.tenant);
   arrays_.push_back(state);
   return DeviceArray(std::move(state));
 }
 
 void Context::free(DeviceArray& a) {
-  activate();
   if (!a.valid()) throw sim::ApiError("free: empty DeviceArray");
   ArrayState* s = a.state();
   // Retire every computation still operating on this array.
@@ -78,8 +78,6 @@ LibraryFunction Context::bind_library(LibraryFunctionDef def) {
 }
 
 void Context::synchronize() {
-  flush_ingest();
-  activate();
   gpu_->synchronize_device();
   ++stats_.blocking_syncs;
   for (Computation* c : active_) {
@@ -147,7 +145,6 @@ std::vector<Computation::Use> Context::collect_uses(
 
 void Context::submit_kernel(const Kernel& kernel, const sim::LaunchConfig& cfg,
                             std::vector<Value> values) {
-  activate();
   check_args(kernel.name(), kernel.signature(), values);
   const KernelDef* def = kernel.def_;
 
@@ -183,7 +180,6 @@ void Context::submit_kernel(const Kernel& kernel, const sim::LaunchConfig& cfg,
 
 void Context::submit_library(const LibraryFunctionDef& def,
                              std::vector<Value> values) {
-  activate();
   check_args(def.name, def.params, values);
   ++stats_.library_calls;
 
@@ -360,12 +356,6 @@ void Context::schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
 }
 
 void Context::wait_for(Computation& c) {
-  flush_ingest();
-  // Re-assert the tenant even though draining issues nothing today: a
-  // caller may interleave contexts between the entry point and this
-  // wait, and future retire-triggered runtime work must not land on
-  // whichever tenant happened to be ambient.
-  activate();
   if (c.event != sim::kInvalidEvent) {
     gpu_->synchronize_event(c.event);
     ++stats_.blocking_syncs;
@@ -374,7 +364,6 @@ void Context::wait_for(Computation& c) {
 }
 
 std::size_t Context::advise_evict(DeviceArray& a, sim::DeviceId d) {
-  activate();
   if (!a.valid()) throw sim::ApiError("advise_evict: empty array handle");
   // Retire finished computations first so quiescent arrays are actually
   // seen as quiescent (GpuRuntime skips arrays with in-flight ops).
@@ -386,13 +375,11 @@ std::size_t Context::advise_evict(DeviceArray& a, sim::DeviceId d) {
 }
 
 void Context::pin(DeviceArray& a, sim::DeviceId d) {
-  activate();
   if (!a.valid()) throw sim::ApiError("pin: empty array handle");
   gpu_->advise_pin(a.state()->sim_id, d);
 }
 
 void Context::unpin(DeviceArray& a, sim::DeviceId d) {
-  activate();
   if (!a.valid()) throw sim::ApiError("unpin: empty array handle");
   gpu_->advise_unpin(a.state()->sim_id, d);
 }
@@ -409,7 +396,6 @@ void Context::sweep_finished() {
 }
 
 void Context::on_host_read(ArrayState* array) {
-  activate();
   if (opts_.policy == SchedulePolicy::Serial) {
     ++stats_.immediate_accesses;
     gpu_->host_read(array->sim_id);
@@ -469,7 +455,6 @@ void Context::on_host_read(ArrayState* array) {
 }
 
 void Context::on_host_write(ArrayState* array) {
-  activate();
   if (opts_.policy == SchedulePolicy::Serial) {
     ++stats_.immediate_accesses;
     gpu_->host_write(array->sim_id);

@@ -41,8 +41,9 @@ struct Options {
   /// Tenant this context's computations, streams, and arrays belong to
   /// (multi-app runs sharing one GpuRuntime give each app its own Context
   /// with a distinct tenant — typically a TenantManager-created id). The
-  /// context activates it on the runtime before every operation. Tenant 0
-  /// is the default single-app tenant.
+  /// context creates its streams and arrays for it; every other call
+  /// names one of those, so the runtime reads the tenant from there.
+  /// Tenant 0 is the default single-app tenant.
   sim::TenantId tenant = sim::kDefaultTenant;
   /// Automatic unified-memory prefetching ahead of kernels (Pascal+ only;
   /// pre-Pascal architectures always transfer ahead of execution).
@@ -157,18 +158,6 @@ class Context {
   void on_host_write(ArrayState* array);
 
  private:
-  /// Make this context's tenant the runtime's ambient tenant. Called at
-  /// every public entry point: contexts of different tenants interleave
-  /// on one runtime, so the ambient tenant must be re-asserted before
-  /// streams are created or ops issued on this context's behalf.
-  void activate() { gpu_->set_active_tenant(opts_.tenant); }
-  /// Drain *this context's* tenant shard of the concurrent ingestion
-  /// front-end (sim/ingest_queue.hpp), if one is attached. The runtime's
-  /// blocking entry points flush whichever tenant is ambient at call
-  /// time; a context about to observe engine state pins the flush to its
-  /// own tenant instead, so work another thread queued for this tenant
-  /// is committed before the observation no matter who is ambient.
-  void flush_ingest() { gpu_->flush_ingest(opts_.tenant); }
   Computation& new_computation(Computation::Kind kind, std::string label);
   /// Validate invocation values against a NIDL signature.
   static void check_args(const std::string& name,

@@ -10,8 +10,12 @@
 
 namespace psched::rt {
 
-DevicePlacer::DevicePlacer(sim::GpuRuntime& gpu, DevicePolicy policy)
-    : gpu_(&gpu), policy_(policy) {}
+DevicePlacer::DevicePlacer(sim::GpuRuntime& gpu, DevicePolicy policy,
+                           sim::TenantId tenant)
+    : gpu_(&gpu),
+      policy_(policy),
+      tenant_(tenant),
+      pressure_base_(static_cast<std::size_t>(gpu.num_devices()), 0) {}
 
 sim::DeviceId DevicePlacer::place(const Computation& c) {
   const int ndev = gpu_->num_devices();
@@ -86,22 +90,16 @@ sim::DeviceId DevicePlacer::min_transfer_device(const Computation& c) {
 
 sim::DeviceId DevicePlacer::min_pressure_device(const Computation& c) {
   const int ndev = gpu_->num_devices();
-  const sim::TenantId tenant = gpu_->active_tenant();
   // Pressure is the tenant's own eviction-byte delta over the current
   // placement window: monotone counters become a recent rate, so a
   // device that stopped thrashing regains eligibility. The first window
-  // (and a tenant switch) baselines at zero — all-time pressure — and
-  // every kPressureWindow placements the baseline advances to the
-  // counters' current value, forgetting old thrash.
-  if (tenant != pressure_tenant_ ||
-      pressure_base_.size() != static_cast<std::size_t>(ndev)) {
-    pressure_base_.assign(static_cast<std::size_t>(ndev), 0);
-    pressure_tenant_ = tenant;
-    pressure_tick_ = 0;
-  } else if (pressure_tick_ >= kPressureWindow) {
+  // baselines at zero — all-time pressure — and every kPressureWindow
+  // placements the baseline advances to the counters' current value,
+  // forgetting old thrash.
+  if (pressure_tick_ >= kPressureWindow) {
     for (sim::DeviceId d = 0; d < ndev; ++d) {
       pressure_base_[static_cast<std::size_t>(d)] =
-          gpu_->tenant_bytes_evicted(tenant, d);
+          gpu_->tenant_bytes_evicted(tenant_, d);
     }
     pressure_tick_ = 0;
   }
@@ -109,13 +107,13 @@ sim::DeviceId DevicePlacer::min_pressure_device(const Computation& c) {
 
   std::size_t best = std::numeric_limits<std::size_t>::max();
   for (sim::DeviceId d = 0; d < ndev; ++d) {
-    const std::size_t p = gpu_->tenant_bytes_evicted(tenant, d) -
+    const std::size_t p = gpu_->tenant_bytes_evicted(tenant_, d) -
                           pressure_base_[static_cast<std::size_t>(d)];
     best = std::min(best, p);
   }
   std::vector<sim::DeviceId> low;
   for (sim::DeviceId d = 0; d < ndev; ++d) {
-    const std::size_t p = gpu_->tenant_bytes_evicted(tenant, d) -
+    const std::size_t p = gpu_->tenant_bytes_evicted(tenant_, d) -
                           pressure_base_[static_cast<std::size_t>(d)];
     if (p == best) low.push_back(d);
   }

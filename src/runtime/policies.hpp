@@ -59,10 +59,12 @@ enum class DevicePolicy {
 };
 
 /// Chooses the device for each computation according to a DevicePolicy.
-/// Stateful (round-robin cursor); owned by the execution context.
+/// Stateful (round-robin cursor); owned by the execution context, whose
+/// tenant's eviction pressure MinPressure reads.
 class DevicePlacer {
  public:
-  DevicePlacer(sim::GpuRuntime& gpu, DevicePolicy policy);
+  DevicePlacer(sim::GpuRuntime& gpu, DevicePolicy policy,
+               sim::TenantId tenant = sim::kDefaultTenant);
 
   /// Pick the device for `c`. The computation's parent links must already
   /// be wired (placement follows stream inheritance first).
@@ -85,12 +87,12 @@ class DevicePlacer {
 
   sim::GpuRuntime* gpu_;
   DevicePolicy policy_;
+  sim::TenantId tenant_;
   int next_rr_ = 0;
   int pressure_tick_ = 0;
-  /// Eviction-counter baseline of the current window, per device, for
-  /// the placing tenant observed at the window start.
+  /// The tenant's eviction-counter baseline of the current window, per
+  /// device.
   std::vector<std::size_t> pressure_base_;
-  sim::TenantId pressure_tenant_ = sim::kInvalidTenant;
 };
 
 [[nodiscard]] inline const char* to_string(SchedulePolicy p) {

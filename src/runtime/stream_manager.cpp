@@ -2,8 +2,9 @@
 
 namespace psched::rt {
 
-StreamManager::StreamManager(sim::GpuRuntime& gpu, StreamPolicy policy)
-    : gpu_(&gpu), policy_(policy) {
+StreamManager::StreamManager(sim::GpuRuntime& gpu, StreamPolicy policy,
+                             sim::TenantId tenant)
+    : gpu_(&gpu), policy_(policy), tenant_(tenant) {
   devices_.resize(static_cast<std::size_t>(gpu_->num_devices()));
   if (policy_ == StreamPolicy::FifoReuse) {
     idle_observer_ = gpu_->engine().add_stream_idle_observer(
@@ -30,7 +31,7 @@ void StreamManager::note_idle(sim::StreamId s) {
 }
 
 sim::StreamId StreamManager::create_pooled_stream(sim::DeviceId device) {
-  const sim::StreamId s = gpu_->create_stream(device);
+  const sim::StreamId s = gpu_->create_stream(device, tenant_);
   devices_[static_cast<std::size_t>(device)].pool.push_back(s);
   pool_.push_back(s);
   if (pool_device_.size() <= static_cast<std::size_t>(s)) {

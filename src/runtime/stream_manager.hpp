@@ -23,8 +23,8 @@
 // every stream drain to every registered observer; note_idle() drops
 // streams outside this manager's pool (the pool_device_ map doubles as
 // the ownership test), so tenants never reuse each other's streams, and
-// a stream created here inherits the runtime's ambient tenant (the
-// owning Context asserts its tenant before every submission).
+// every stream created here belongs to the manager's tenant (the owning
+// Context's), which the ops issued on it then carry.
 #pragma once
 
 #include <queue>
@@ -41,8 +41,9 @@ class StreamManager {
   /// `gpu` must outlive this manager: construction registers a
   /// stream-idle observer on its engine and destruction unregisters it
   /// (the Context that owns a StreamManager already takes GpuRuntime& on
-  /// the same terms).
-  StreamManager(sim::GpuRuntime& gpu, StreamPolicy policy);
+  /// the same terms). Streams are created for `tenant`.
+  StreamManager(sim::GpuRuntime& gpu, StreamPolicy policy,
+                sim::TenantId tenant = sim::kDefaultTenant);
   ~StreamManager();
 
   StreamManager(const StreamManager&) = delete;
@@ -80,6 +81,7 @@ class StreamManager {
 
   sim::GpuRuntime* gpu_;
   StreamPolicy policy_;
+  sim::TenantId tenant_;
   std::vector<DeviceState> devices_;  ///< indexed by DeviceId
   std::vector<sim::StreamId> pool_;   ///< all streams created, in FIFO order
   /// Indexed by stream id: owning device if the stream is pooled here,

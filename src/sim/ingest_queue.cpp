@@ -25,7 +25,6 @@ struct IngestService::Item {
 
   Kind kind = Kind::Flush;
   bool want_token = false;
-  TenantId tenant = kDefaultTenant;
   TimeUs host_time = 0;          // producer stamp (Op / Record / Wait)
   sim::Op op;                    // Op
   EventId event = kInvalidEvent; // Record / Wait
@@ -247,7 +246,6 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
   GpuRuntime& rt = *rt_;
   Engine& eng = rt.engine();
   ++tl_drain_depth;
-  const TenantId ambient = rt.active_tenant();
 
   // Clamp a producer host stamp against the shard's monotone floor.
   const auto clamp = [&s](TimeUs t) {
@@ -318,11 +316,9 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
             break;
           }
           case Item::Kind::Replay:
-            rt.set_active_tenant(it->tenant);
             rt.replay(*it->replay);
             break;
           case Item::Kind::Task:
-            rt.set_active_tenant(it->tenant);
             it->task(rt);
             break;
           case Item::Kind::Flush:
@@ -335,7 +331,6 @@ void IngestService::drain_batch(Shard& s, std::vector<Item*>& batch) {
         s.errors.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    rt.set_active_tenant(ambient);
     if (announced) rt.clear_frontier();
     if (own_batch) {
       try {
@@ -446,7 +441,6 @@ std::future<OpId> IngestService::submit(TenantId tenant, Op op,
   check_admission(s, tenant, /*defer=*/false, "IngestService::submit");
   Item* it = new Item;
   it->kind = Item::Kind::Op;
-  it->tenant = tenant;
   it->op = std::move(op);
   it->host_time = host_time;
   it->want_token = true;
@@ -460,7 +454,6 @@ void IngestService::post(TenantId tenant, Op op, TimeUs host_time) {
   check_admission(s, tenant, /*defer=*/true, "IngestService::post");
   Item* it = new Item;
   it->kind = Item::Kind::Op;
-  it->tenant = tenant;
   it->op = std::move(op);
   it->host_time = host_time;
   push(s, it);
@@ -470,7 +463,6 @@ void IngestService::post_record(TenantId tenant, EventId event,
                                 StreamId stream, TimeUs host_time) {
   Item* it = new Item;
   it->kind = Item::Kind::Record;
-  it->tenant = tenant;
   it->event = event;
   it->stream = stream;
   it->host_time = host_time;
@@ -481,7 +473,6 @@ void IngestService::post_wait(TenantId tenant, StreamId stream, EventId event,
                               TimeUs host_time) {
   Item* it = new Item;
   it->kind = Item::Kind::Wait;
-  it->tenant = tenant;
   it->event = event;
   it->stream = stream;
   it->host_time = host_time;
@@ -492,7 +483,6 @@ std::future<void> IngestService::submit_replay(TenantId tenant,
                                                const Submission* sub) {
   Item* it = new Item;
   it->kind = Item::Kind::Replay;
-  it->tenant = tenant;
   it->replay = sub;
   it->want_token = true;
   std::future<void> token = it->done_token.get_future();
@@ -503,7 +493,6 @@ std::future<void> IngestService::submit_replay(TenantId tenant,
 void IngestService::post_replay(TenantId tenant, const Submission* sub) {
   Item* it = new Item;
   it->kind = Item::Kind::Replay;
-  it->tenant = tenant;
   it->replay = sub;
   push(shard_for(tenant), it);
 }
@@ -512,7 +501,6 @@ std::future<void> IngestService::submit_task(
     TenantId tenant, std::function<void(GpuRuntime&)> fn) {
   Item* it = new Item;
   it->kind = Item::Kind::Task;
-  it->tenant = tenant;
   it->task = std::move(fn);
   it->want_token = true;
   std::future<void> token = it->done_token.get_future();
@@ -524,7 +512,6 @@ void IngestService::post_task(TenantId tenant,
                               std::function<void(GpuRuntime&)> fn) {
   Item* it = new Item;
   it->kind = Item::Kind::Task;
-  it->tenant = tenant;
   it->task = std::move(fn);
   push(shard_for(tenant), it);
 }
@@ -532,7 +519,6 @@ void IngestService::post_task(TenantId tenant,
 std::future<void> IngestService::flush(TenantId tenant) {
   Item* it = new Item;
   it->kind = Item::Kind::Flush;
-  it->tenant = tenant;
   it->want_token = true;
   std::future<void> token = it->done_token.get_future();
   push(shard_for(tenant), it);

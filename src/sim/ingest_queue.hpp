@@ -37,12 +37,15 @@
 //
 // Flush points: `flush(tenant)` returns a token that resolves once
 // everything enqueued to that tenant's shard so far has been committed.
-// Blocking / observing GpuRuntime calls (synchronize_*, poll, host_read,
-// ...) flush-and-wait the ambient tenant's shard automatically before they
-// observe engine state, so queued work is never invisibly "still in
-// flight" at an observation point. Closures running *on* an ingest thread
-// skip that flush (they are the drain) — re-entrant blocking calls remain
-// legal there, though they defeat batching.
+// Blocking / observing GpuRuntime calls flush-and-wait automatically
+// before they observe engine state: the shard of the tenant owning the
+// stream or array they name (synchronize_stream, stream_idle, host_read,
+// host_write, free_array), or every shard when they name no tenant (poll,
+// synchronize_device, synchronize_event, event_done). Queued work is thus
+// never invisibly "still in flight" at an observation point. Closures
+// running *on* an ingest thread skip that flush (they are the drain) —
+// re-entrant blocking calls remain legal there, though they defeat
+// batching.
 //
 // Error recovery: engine misuse surfaces as structured TransactionError /
 // ApiError *before* state changes, so a drain catches per-item failures,
@@ -131,9 +134,10 @@ class IngestService {
   /// token resolves / a flush covers it) inside the shard's drain batch.
   std::future<void> submit_replay(TenantId tenant, const Submission* sub);
   void post_replay(TenantId tenant, const Submission* sub);
-  /// Run a closure on the ingest thread with `tenant` active, inside the
-  /// shard's open batch. The closure gets the full GpuRuntime async API;
-  /// blocking calls are legal but execute inline (no self-flush).
+  /// Run a closure on the ingest thread of `tenant`'s shard, inside the
+  /// shard's open batch. The closure gets the full GpuRuntime async API (its streams
+  /// and arrays carry their own tenant); blocking calls are legal but
+  /// execute inline (no self-flush).
   std::future<void> submit_task(TenantId tenant,
                                 std::function<void(GpuRuntime&)> fn);
   void post_task(TenantId tenant, std::function<void(GpuRuntime&)> fn);

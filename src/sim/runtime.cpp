@@ -97,11 +97,13 @@ void GpuRuntime::flush_ingest(TenantId tenant) {
   if (svc != nullptr) svc->flush_and_wait(tenant);
 }
 
-void GpuRuntime::ingest_flush() { flush_ingest(active_tenant()); }
+void GpuRuntime::flush_all_ingest() {
+  IngestService* svc = ingest_.load(std::memory_order_acquire);
+  if (svc != nullptr) svc->flush_all_and_wait();
+}
 
-StreamId GpuRuntime::service_stream(DeviceId device) {
+StreamId GpuRuntime::service_stream(DeviceId device, TenantId tenant) {
   auto& per_device = service_streams_[static_cast<std::size_t>(device)];
-  const TenantId tenant = active_tenant();
   const auto t = static_cast<std::size_t>(tenant);
   if (per_device.size() <= t) per_device.resize(t + 1, kInvalidStream);
   StreamId& s = per_device[t];
@@ -109,9 +111,8 @@ StreamId GpuRuntime::service_stream(DeviceId device) {
   return s;
 }
 
-StreamId GpuRuntime::prefetch_stream(DeviceId device) {
+StreamId GpuRuntime::prefetch_stream(DeviceId device, TenantId tenant) {
   auto& per_device = prefetch_streams_[static_cast<std::size_t>(device)];
-  const TenantId tenant = active_tenant();
   const auto t = static_cast<std::size_t>(tenant);
   if (per_device.size() <= t) per_device.resize(t + 1, kInvalidStream);
   StreamId& s = per_device[t];
@@ -265,9 +266,14 @@ void GpuRuntime::replay_admit(const Submission& sub) {
     // the data themselves — replay stays static, no prefetch is issued —
     // so this closes the accounting gap where replays touched pages the
     // manager no longer charged anywhere.
+    // The admission is the entry's owner's: charge_residency's default
+    // requester, and the tenant whose service stream the page-outs ride.
+    const TenantId owner = fe.arrays.empty()
+                               ? kDefaultTenant
+                               : memory_.info(fe.arrays.front()).owner;
     EvictionPlan plan;
     try {
-      plan = memory_.charge_residency(fe.arrays, fe.device, active_tenant());
+      plan = memory_.charge_residency(fe.arrays, fe.device);
     } catch (const OutOfMemoryError&) {
       // In-flight ops pin their arrays; drain the device and retry, like
       // the launch path's fault stall.
@@ -275,9 +281,9 @@ void GpuRuntime::replay_admit(const Submission& sub) {
       flush_submission();
       const TimeUs t = engine_.run_all();
       host_now_ = std::max(host_now_, t);
-      plan = memory_.charge_residency(fe.arrays, fe.device, active_tenant());
+      plan = memory_.charge_residency(fe.arrays, fe.device);
     }
-    price_eviction(plan, service_stream(fe.device));
+    price_eviction(plan, service_stream(fe.device, owner));
     planner.on_admitted(fe.arrays, fe.device);
   }
   if (own_frontier) planner.clear();
@@ -314,22 +320,17 @@ void GpuRuntime::host_advance(TimeUs dt) {
 }
 
 void GpuRuntime::poll() {
-  ingest_flush();
+  flush_all_ingest();
   const auto gate = api_guard();
   flush_submission();
   engine_.advance_to(host_now_);
 }
 
-StreamId GpuRuntime::create_stream() {
-  return create_stream(kDefaultDevice);
-}
-
-StreamId GpuRuntime::create_stream(DeviceId device) {
+StreamId GpuRuntime::create_stream(DeviceId device, TenantId tenant) {
   const auto gate = api_guard();
-  // Streams belong to the ambient tenant: ops enqueued on them inherit it
-  // inside the engine, so tenant tagging rides transactions and recorded
-  // replays for free.
-  return engine_.create_stream(device, active_tenant());
+  // Ops enqueued on the stream inherit its tenant inside the engine, so
+  // tenant tagging rides transactions and recorded replays for free.
+  return engine_.create_stream(device, tenant);
 }
 
 EventId GpuRuntime::create_event() {
@@ -358,16 +359,16 @@ void GpuRuntime::stream_wait_event(StreamId stream, EventId event) {
 }
 
 bool GpuRuntime::stream_idle(StreamId stream) {
-  ingest_flush();
   const auto gate = api_guard();
+  flush_ingest(engine_.stream_tenant(stream));
   flush_submission();
   engine_.advance_to(host_now_);
   return engine_.stream_idle(stream);
 }
 
 void GpuRuntime::synchronize_stream(StreamId stream) {
-  ingest_flush();
   const auto gate = api_guard();
+  flush_ingest(engine_.stream_tenant(stream));
   flush_submission();
   engine_.advance_to(host_now_);
   const TimeUs t = engine_.run_until_stream_idle(stream);
@@ -375,7 +376,7 @@ void GpuRuntime::synchronize_stream(StreamId stream) {
 }
 
 void GpuRuntime::synchronize_event(EventId event) {
-  ingest_flush();
+  flush_all_ingest();
   const auto gate = api_guard();
   flush_submission();
   engine_.advance_to(host_now_);
@@ -384,7 +385,7 @@ void GpuRuntime::synchronize_event(EventId event) {
 }
 
 void GpuRuntime::synchronize_device() {
-  ingest_flush();
+  flush_all_ingest();
   const auto gate = api_guard();
   flush_submission();
   engine_.advance_to(host_now_);
@@ -393,21 +394,22 @@ void GpuRuntime::synchronize_device() {
 }
 
 bool GpuRuntime::event_done(EventId event) {
-  ingest_flush();
+  flush_all_ingest();
   const auto gate = api_guard();
   flush_submission();
   engine_.advance_to(host_now_);
   return engine_.event_done(event);
 }
 
-ArrayId GpuRuntime::alloc(std::size_t bytes, const std::string& name) {
+ArrayId GpuRuntime::alloc(std::size_t bytes, const std::string& name,
+                          TenantId tenant) {
   const auto gate = api_guard();
-  return memory_.alloc(bytes, name, active_tenant());
+  return memory_.alloc(bytes, name, tenant);
 }
 
 void GpuRuntime::free_array(ArrayId id) {
-  ingest_flush();
   const auto gate = api_guard();
+  flush_ingest(memory_.info(id).owner);
   flush_submission();
   engine_.advance_to(host_now_);
   // Runtime-initiated page-outs of this array may still be in flight —
@@ -486,9 +488,10 @@ EventId GpuRuntime::price_eviction(const EvictionPlan& plan,
 
 void GpuRuntime::admit_working_set(std::span<const ArrayId> ids,
                                    DeviceId device, StreamId stream) {
+  const TenantId tenant = engine_.stream_tenant(stream);
   EvictionPlan plan;
   try {
-    plan = memory_.charge_residency(ids, device, active_tenant());
+    plan = memory_.charge_residency(ids, device, tenant);
   } catch (const OutOfMemoryError&) {
     // Arrays of in-flight ops are not evictable, so a burst of async
     // launches can pin more than the device holds. A real UM fault stalls
@@ -499,13 +502,13 @@ void GpuRuntime::admit_working_set(std::span<const ArrayId> ids,
     flush_submission();
     const TimeUs t = engine_.run_all();
     host_now_ = std::max(host_now_, t);
-    plan = memory_.charge_residency(ids, device, active_tenant());
+    plan = memory_.charge_residency(ids, device, tenant);
   }
   // Keep fault servicing out of any active recording: at replay nothing
   // is admitted, so neither the page-outs nor the gate belong in the
   // static op list.
   const RecordSuspend no_tee(record_);
-  const EventId ev = price_eviction(plan, service_stream(device));
+  const EventId ev = price_eviction(plan, service_stream(device, tenant));
   // The incoming pages physically land only after the page-outs free their
   // frames: the faulting stream's migrations/kernel wait for the last
   // write-back. Under-capacity admissions take neither branch and leave
@@ -678,10 +681,11 @@ void GpuRuntime::advise_unpin(ArrayId id, DeviceId device) {
 std::size_t GpuRuntime::advise_evict(ArrayId id, DeviceId device) {
   const auto gate = api_guard();
   note_api_call();
-  const EvictionPlan plan = memory_.evict(memory_.info(id), device);
+  ArrayInfo& a = memory_.info(id);
+  const EvictionPlan plan = memory_.evict(a, device);
   const RecordSuspend no_tee(record_);  // pressure traffic is not program
-  // Write-backs drain asynchronously on the device's service stream.
-  price_eviction(plan, service_stream(device));
+  // Write-backs drain asynchronously on the owner's service stream.
+  price_eviction(plan, service_stream(device, a.owner));
   return plan.bytes_freed;
 }
 
@@ -726,8 +730,8 @@ void GpuRuntime::note_host_access(ArrayId id, bool for_write) {
 }
 
 void GpuRuntime::host_read(ArrayId id) {
-  ingest_flush();
   const auto gate = api_guard();
+  flush_ingest(memory_.info(id).owner);
   note_host_access(id, /*for_write=*/false);
   ArrayInfo& a = memory_.info(id);
   if (!a.device_dirty) return;
@@ -749,7 +753,7 @@ void GpuRuntime::host_read(ArrayId id) {
   for (const auto& [src, bytes] : src_bytes) {
     Op op;
     op.kind = OpKind::CopyD2H;
-    op.stream = service_stream(src);
+    op.stream = service_stream(src, a.owner);
     op.name = "d2h:" + a.name;
     op.bytes = bytes;
     op.work = op.bytes;
@@ -762,8 +766,8 @@ void GpuRuntime::host_read(ArrayId id) {
 }
 
 void GpuRuntime::host_write(ArrayId id) {
-  ingest_flush();
   const auto gate = api_guard();
+  flush_ingest(memory_.info(id).owner);
   note_host_access(id, /*for_write=*/true);
   ArrayInfo& a = memory_.info(id);
   a.note_host_write();
@@ -780,7 +784,7 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
   // AdmissionError and leaves the host clock, batch and engine untouched,
   // so the caller can back off and retry once the backlog drains.
   if (QosManager* q = qos_.load(std::memory_order_acquire)) {
-    q->check_admission(active_tenant(), 0, "launch");
+    q->check_admission(engine_.stream_tenant(stream), 0, "launch");
   }
   note_api_call();
   const DeviceId dev = engine_.stream_device(stream);
@@ -801,7 +805,7 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
   // and a serve batch can cover this very launch (its pages arrive over
   // the prefetch stream and admission below finds them charged). No-op
   // without an active frontier or under capacity (the planner's screens).
-  if (planner.active()) run_prefetch_pass();
+  if (planner.active()) run_prefetch_pass(engine_.stream_tenant(stream));
   admit_working_set(admit_scratch_, dev, stream);
   if (planner.active()) {
     // The prefetched bytes (if any) are consumed; advance the frontier
@@ -885,15 +889,15 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
   return op_id;
 }
 
-void GpuRuntime::run_prefetch_pass() {
+void GpuRuntime::run_prefetch_pass(TenantId tenant) {
   const std::vector<PrefetchStep> steps =
-      memory_.planner().plan_prefetch(active_tenant());
+      memory_.planner().plan_prefetch(tenant);
   if (steps.empty()) return;
   // Prefetch traffic is transient pressure management, never part of a
   // recorded program (a static replay must not re-run phantom transfers).
   const RecordSuspend no_tee(record_);
   for (const PrefetchStep& step : steps) {
-    issue_prefetch_step(step, prefetch_stream(step.device));
+    issue_prefetch_step(step, prefetch_stream(step.device, tenant));
   }
 }
 

@@ -102,29 +102,17 @@ class GpuRuntime {
   /// Model host-side computation taking `dt` microseconds.
   void host_advance(TimeUs dt);
 
-  // --- tenancy (see sim/tenant.hpp for the multi-app handles) ---
-  /// The ambient tenant subsequently created streams and allocations are
-  /// attributed to (ops inherit their stream's tenant inside the engine).
-  /// Single-app programs never touch this and stay on tenant 0. The
-  /// TenantManager's handles set it before every forwarded call.
-  void set_active_tenant(TenantId t) {
-    if (t < 0 || t >= kMaxTenants) {
-      throw ApiError("set_active_tenant: invalid tenant " +
-                     std::to_string(t));
-    }
-    active_tenant_.store(t, std::memory_order_relaxed);
-  }
-  [[nodiscard]] TenantId active_tenant() const {
-    return active_tenant_.load(std::memory_order_relaxed);
-  }
-
   // --- streams and events ---
   /// Process device completions up to the current host time (non-blocking).
   /// Lets pollers (e.g. the stream manager's idle free-list) observe
   /// completion callbacks without issuing a query per stream.
   void poll();
-  StreamId create_stream();                ///< on device 0
-  StreamId create_stream(DeviceId device);
+  /// A stream on `device` owned by `tenant`: ops enqueued on it inherit
+  /// the tenant inside the engine, and every later call naming the stream
+  /// (launch, copies, prefetches, admission) reads its tenant from it.
+  /// Single-app programs leave the default tenant 0.
+  StreamId create_stream(DeviceId device = kDefaultDevice,
+                         TenantId tenant = kDefaultTenant);
   [[nodiscard]] DeviceId stream_device(StreamId stream) const {
     return engine_.stream_device(stream);
   }
@@ -138,7 +126,10 @@ class GpuRuntime {
   [[nodiscard]] bool event_done(EventId event);
 
   // --- managed memory ---
-  ArrayId alloc(std::size_t bytes, const std::string& name);
+  /// A managed array owned by `tenant`: host accesses, advice and frees
+  /// of the array are attributed to its owner.
+  ArrayId alloc(std::size_t bytes, const std::string& name,
+                TenantId tenant = kDefaultTenant);
   void free_array(ArrayId id);
   [[nodiscard]] MemoryManager& memory() { return memory_; }
   [[nodiscard]] const MemoryManager& memory() const { return memory_; }
@@ -258,14 +249,16 @@ class GpuRuntime {
   /// Drain `tenant`'s ingest shard to empty on the calling thread (the
   /// front-end's flush point): queued work is committed engine state when
   /// this returns. No-op without an attached front-end or when already
-  /// inside a drain. Every blocking / observing call runs this for the
-  /// ambient tenant before it touches engine state, so queued work is
-  /// never invisibly in flight at a host observation point.
+  /// inside a drain. Every blocking / observing call runs this before it
+  /// touches engine state, for the tenant of the stream or array it names
+  /// — or for every shard when it names neither (poll, synchronize_device,
+  /// synchronize_event, event_done) — so queued work is never invisibly in
+  /// flight at a host observation point.
   void flush_ingest(TenantId tenant);
 
   // --- latency QoS (see sim/qos.hpp) ---
   /// Called by QosManager's constructor / destructor. While attached,
-  /// launch() runs the manager's admission check for the ambient tenant
+  /// launch() runs the manager's admission check for the stream's tenant
   /// before any state changes — a rejected launch throws AdmissionError
   /// and leaves the runtime untouched.
   void attach_qos(QosManager* qos);
@@ -367,11 +360,11 @@ class GpuRuntime {
   /// golden schedules.
   void issue_prefetch_step(const PrefetchStep& step, StreamId stream);
   /// Consume the planner's prefetch steps: price each step's early
-  /// page-outs and issue its CopyH2D/CopyP2P fetches on the device's
-  /// prefetch stream (FIFO orders the fetches behind the frees), outside
-  /// any active recording. Called after every launch while a frontier is
-  /// active.
-  void run_prefetch_pass();
+  /// page-outs and issue its CopyH2D/CopyP2P fetches on the launching
+  /// `tenant`'s prefetch stream of the device (FIFO orders the fetches
+  /// behind the frees), outside any active recording. Called after every
+  /// launch while a frontier is active.
+  void run_prefetch_pass(TenantId tenant);
   /// Residency planning at replay: re-admit each annotated working set
   /// (future-scored against the whole recorded list, early page-outs on
   /// the service stream) so replayed launches find their pages charged.
@@ -382,19 +375,19 @@ class GpuRuntime {
   void note_host_access(ArrayId id, bool for_write);
   [[nodiscard]] bool spec_page_fault() const;
   /// Internal per-(device, tenant) stream used for runtime-initiated
-  /// transfers (eviction write-backs, host-read D2H). Keyed by the
-  /// *ambient* tenant so the traffic — and its weighted share of the D2H
-  /// class — is charged to the tenant whose admission or read caused it,
-  /// never to a shared system tenant. (Device 0, tenant 0) maps to the
-  /// default stream, the historical single-app behaviour; others are
-  /// lazily made.
-  [[nodiscard]] StreamId service_stream(DeviceId device);
+  /// transfers (eviction write-backs, host-read D2H). Keyed by the tenant
+  /// whose admission or access caused the traffic — the launching stream's
+  /// tenant, or the accessed array's owner — so the traffic and its
+  /// weighted share of the D2H class are charged to that tenant, never to
+  /// a shared system tenant. (Device 0, tenant 0) maps to the default
+  /// stream, the historical single-app behaviour; others are lazily made.
+  [[nodiscard]] StreamId service_stream(DeviceId device, TenantId tenant);
   /// Internal per-(device, tenant) stream prefetch traffic rides — kept
   /// distinct from the service stream (which the default-stream program
   /// shares on device 0) so lookahead transfers genuinely overlap the
   /// schedule instead of serializing behind it. Lazily made: runs without
   /// prefetch never create it, so stream ids stay bit-identical.
-  [[nodiscard]] StreamId prefetch_stream(DeviceId device);
+  [[nodiscard]] StreamId prefetch_stream(DeviceId device, TenantId tenant);
 
   /// Charge one async API call to the host clock (full per-call overhead,
   /// or the cheaper batched append cost inside an open batch) and bring
@@ -410,8 +403,9 @@ class GpuRuntime {
   OpId issue_op(Op op, Submission::BindFn bind);
   void issue_record(EventId event, StreamId stream);
   void issue_wait(StreamId stream, EventId event);
-  /// flush_ingest for the ambient tenant (blocking/observing entries).
-  void ingest_flush();
+  /// flush_ingest for every shard (the observing entries that name no
+  /// tenant).
+  void flush_all_ingest();
 
   Engine engine_;
   MemoryManager memory_;
@@ -431,11 +425,6 @@ class GpuRuntime {
   long fault_ops_ = 0;
   long prefetch_ops_ = 0;
   double prefetch_bytes_ = 0;
-  /// Ambient tenant. Atomic so unsynchronized reads (service-stream
-  /// lookups racing a drain's save/restore) stay defined; the logical
-  /// set-then-call pairing is protected by the api gate, which drains hold
-  /// across whole batches and restore the ambient tenant under.
-  std::atomic<TenantId> active_tenant_{kDefaultTenant};
   /// Engine gate + attached concurrent front-end (see api_guard()).
   mutable std::recursive_mutex api_mu_;
   std::atomic<IngestService*> ingest_{nullptr};

@@ -7,41 +7,25 @@
 
 namespace psched::sim {
 
-GpuRuntime& Tenant::gpu() {
-  mgr_->gpu_->set_active_tenant(id_);
-  return *mgr_->gpu_;
-}
-
-// Forwarded calls hold the api gate across the activate + delegate pair:
-// a concurrent drain batch (which saves and restores the ambient tenant
-// under the same gate) can then never interleave between the two. The
-// gate is recursive, so the delegate's own gating nests for free.
+// The tenant-owning calls hold the api gate across the delegate and the
+// handle's own bookkeeping, so a concurrent drain batch never interleaves
+// between the two. The gate is recursive, so the delegate's own gating
+// nests for free.
 
 StreamId Tenant::create_stream(DeviceId device) {
   const auto gate = mgr_->gpu_->api_guard();
-  const StreamId s = gpu().create_stream(device);
+  const StreamId s = mgr_->gpu_->create_stream(device, id_);
   streams_.push_back(s);
   return s;
 }
 
-EventId Tenant::create_event() {
-  const auto gate = mgr_->gpu_->api_guard();
-  return gpu().create_event();
-}
-
 ArrayId Tenant::alloc(std::size_t bytes, const std::string& name) {
-  const auto gate = mgr_->gpu_->api_guard();
-  return gpu().alloc(bytes, name);
-}
-
-void Tenant::free_array(ArrayId id) {
-  const auto gate = mgr_->gpu_->api_guard();
-  gpu().free_array(id);
+  return mgr_->gpu_->alloc(bytes, name, id_);
 }
 
 OpId Tenant::launch(StreamId stream, const LaunchSpec& spec) {
   const auto gate = mgr_->gpu_->api_guard();
-  GpuRuntime& rt = gpu();
+  GpuRuntime& rt = *mgr_->gpu_;
   const OpId id = rt.launch(stream, spec);
   // Report the issue to the QoS policy (if one is attached) so completion
   // latency and outstanding depth are tracked per tenant. launch() already
@@ -51,43 +35,14 @@ OpId Tenant::launch(StreamId stream, const LaunchSpec& spec) {
   return id;
 }
 
-OpId Tenant::mem_prefetch_async(ArrayId id, StreamId stream) {
-  const auto gate = mgr_->gpu_->api_guard();
-  return gpu().mem_prefetch_async(id, stream);
-}
+void Tenant::host_write(ArrayId id) { mgr_->gpu_->host_write(id); }
 
-void Tenant::host_write(ArrayId id) {
-  const auto gate = mgr_->gpu_->api_guard();
-  gpu().host_write(id);
-}
-
-void Tenant::host_read(ArrayId id) {
-  const auto gate = mgr_->gpu_->api_guard();
-  gpu().host_read(id);
-}
-
-void Tenant::record_event(EventId event, StreamId stream) {
-  const auto gate = mgr_->gpu_->api_guard();
-  gpu().record_event(event, stream);
-}
-
-void Tenant::stream_wait_event(StreamId stream, EventId event) {
-  const auto gate = mgr_->gpu_->api_guard();
-  gpu().stream_wait_event(stream, event);
-}
-
-void Tenant::synchronize_stream(StreamId stream) {
+void Tenant::synchronize() {
   // Flush this tenant's queued work first, *without* holding the gate:
   // the helping drain acquires it per batch.
   mgr_->gpu_->flush_ingest(id_);
   const auto gate = mgr_->gpu_->api_guard();
-  gpu().synchronize_stream(stream);
-}
-
-void Tenant::synchronize() {
-  mgr_->gpu_->flush_ingest(id_);
-  const auto gate = mgr_->gpu_->api_guard();
-  GpuRuntime& rt = gpu();
+  GpuRuntime& rt = *mgr_->gpu_;
   // Draining one stream can run the clock past completions on another,
   // but never *adds* work to a drained stream (the host is here, not
   // issuing), so one ascending pass reaches a tenant-idle state.

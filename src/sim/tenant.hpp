@@ -21,14 +21,15 @@
 // suite): classes with a uniform tenant column take the unweighted solve,
 // and with no quotas configured the eviction order is untouched.
 //
-// The handle is a thin forwarding facade: each call sets the runtime's
-// ambient tenant and delegates, so the full GpuRuntime API remains
-// available through Tenant::gpu() for anything not forwarded here. Every
-// forwarded call holds the runtime's api gate across the set-tenant +
-// delegate pair, so handles may be driven from concurrent OS threads once
-// an IngestService is attached (sim/ingest_queue.hpp) — the *_async
-// methods below route through the tenant's ingest shard without touching
-// engine state from the producer thread at all.
+// The handle keeps only what needs its id or its own state. The runtime
+// keeps no current tenant: create_stream and alloc pass the handle's id
+// to it, and every other runtime call reads the tenant from the stream or
+// array it names — so anything else (events, copies, host accesses,
+// frees) is a plain GpuRuntime call on the tenant's own streams and
+// arrays. Handles may be driven from concurrent OS threads once an
+// IngestService is attached (sim/ingest_queue.hpp) — the *_async methods
+// below route through the tenant's ingest shard without touching engine
+// state from the producer thread at all.
 #pragma once
 
 #include <functional>
@@ -69,39 +70,29 @@ class TenantManager;
 class QosManager;      // qos.hpp
 struct QosTenantStats;  // qos.hpp
 
-/// A GpuRuntime-like handle owned by one application. Every forwarded
-/// call activates this tenant on the shared runtime first.
+/// The handle one application holds on the shared runtime.
 class Tenant {
  public:
   [[nodiscard]] TenantId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return spec_.name; }
   [[nodiscard]] double weight() const { return spec_.weight; }
 
-  /// Activate this tenant and return the shared runtime: the full
-  /// GpuRuntime API as this application. The ambient tenant sticks until
-  /// another handle's call changes it, so re-fetch after interleaving.
-  [[nodiscard]] GpuRuntime& gpu();
-
-  // --- forwarded surface (the calls the multi-app harness drives) ---
+  // --- the tenant-owning calls ---
+  /// A stream owned by this tenant (recorded in streams()).
   StreamId create_stream(DeviceId device = kDefaultDevice);
-  EventId create_event();
+  /// An array owned by this tenant.
   ArrayId alloc(std::size_t bytes, const std::string& name);
-  void free_array(ArrayId id);
+  /// GpuRuntime::launch, reporting the issue to an attached QoS policy.
   OpId launch(StreamId stream, const LaunchSpec& spec);
-  OpId mem_prefetch_async(ArrayId id, StreamId stream);
   void host_write(ArrayId id);
-  void host_read(ArrayId id);
-  void record_event(EventId event, StreamId stream);
-  void stream_wait_event(StreamId stream, EventId event);
-  void synchronize_stream(StreamId stream);
   /// Drain every stream this handle created (the tenant-scoped analogue
   /// of synchronize_device, which would block on other tenants' work).
   void synchronize();
 
   // --- concurrent submission (requires TenantManager::attach_ingest) ---
   /// Queue a closure onto this tenant's ingest shard from any OS thread;
-  /// it runs on the drain with this tenant active. The token resolves
-  /// once the closure's drain batch has committed.
+  /// it runs on the drain. The token resolves once the closure's drain
+  /// batch has committed.
   std::future<void> run_async(std::function<void(GpuRuntime&)> fn);
   /// Queue a recorded submission for replay through this tenant's shard
   /// (keep `sub` alive until the token resolves).

@@ -567,7 +567,7 @@ TEST(Context, TenantedContextsShareOneRuntimeWithAttribution) {
     EXPECT_EQ(gpu.engine().stream_tenant(s), 2);
   }
   // Each tenant's kernels PLUS its own get(0) read-back (host-initiated
-  // D2H rides the reading tenant's service stream, not a shared system
+  // D2H rides the owner's service stream, not a shared system
   // stream): 2 kernels + 1 read for tenant 1, 1 + 1 for tenant 2.
   EXPECT_EQ(gpu.engine().tenant_completed_ops(1), 3);
   EXPECT_EQ(gpu.engine().tenant_completed_ops(2), 2);

@@ -352,7 +352,7 @@ TEST(IngestQueueTest, BlockingCallsFlushTheQueueImplicitly) {
     g.launch(s, spec);
   });
   // No explicit flush: synchronize_device is an observation point and must
-  // drain the ambient tenant's shard before it reports the device idle.
+  // drain every shard before it reports the device idle.
   rt.synchronize_device();
   EXPECT_TRUE(ran.load());
   EXPECT_TRUE(rt.stream_idle(s));
@@ -434,6 +434,31 @@ TEST(IngestQueueTest, TenantHandlesRouteThroughTheirShard) {
   EXPECT_EQ(t1.ops_completed(), 0);
 }
 
+// A device-wide observation names no tenant, so it must flush every
+// shard, not just the one of whichever tenant called last. The held gate
+// keeps shard 1's own ingest thread from draining t1's item first.
+TEST(IngestQueueTest, DeviceWideSyncFlushesEveryShard) {
+  GpuRuntime rt(DeviceSpec::test_device());
+  TenantManager mgr(rt);
+  Tenant& t0 = mgr.create_tenant({.name = "a"});
+  Tenant& t1 = mgr.create_tenant({.name = "b"});
+  IngestService svc(rt, {.shards = 2, .max_batch = 64});
+  mgr.attach_ingest(svc);
+  ASSERT_NE(t0.ingest_shard(), t1.ingest_shard());
+  const StreamId s1 = t1.create_stream();
+  std::future<void> done;
+  {
+    const auto gate = rt.api_guard();
+    done = t1.run_async([s1](GpuRuntime& g) {
+      g.launch(s1, simple_kernel("t1k", {}));
+    });
+    (void)t0.create_stream();
+    rt.synchronize_device();
+    EXPECT_EQ(t1.ops_completed(), 1);
+  }
+  done.get();
+}
+
 TEST(IngestQueueTest, RecordedSubmissionReplaysThroughTheQueue) {
   GpuRuntime rt(DeviceSpec::test_device());
   TenantManager mgr(rt);
@@ -442,12 +467,9 @@ TEST(IngestQueueTest, RecordedSubmissionReplaysThroughTheQueue) {
   const ArrayId a = t0.alloc(4000, "a0");
 
   Submission sub;
-  {
-    GpuRuntime& g = t0.gpu();
-    g.begin_record(sub);
-    g.launch(s, simple_kernel("rec", {{a, true}}));
-    g.end_record();
-  }
+  rt.begin_record(sub);
+  rt.launch(s, simple_kernel("rec", {{a, true}}));
+  rt.end_record();
   t0.synchronize();
   const long base = t0.ops_completed();
 

@@ -273,7 +273,8 @@ TEST(TenantTagging, OpsInheritTheirStreamsTenant) {
   EXPECT_THROW(eng.create_stream(kDefaultDevice, kMaxTenants), ApiError);
   EXPECT_THROW(eng.set_tenant_weight(kMaxTenants, 2.0), ApiError);
   GpuRuntime rt(DeviceSpec::test_device());
-  EXPECT_THROW(rt.set_active_tenant(kMaxTenants), ApiError);
+  EXPECT_THROW(rt.create_stream(kDefaultDevice, kMaxTenants), ApiError);
+  EXPECT_THROW(rt.alloc(1024, "wild", kMaxTenants), ApiError);
   MemoryManager mm(Machine::single(DeviceSpec::test_device()));
   EXPECT_THROW(mm.alloc(1024, "wild", kMaxTenants), ApiError);
 }
@@ -286,9 +287,9 @@ TEST(TenantTagging, RecordedReplayKeepsAttribution) {
   (void)t0;
   const StreamId s = t1.create_stream();
   Submission sub;
-  t1.gpu().begin_record(sub);
+  rt.begin_record(sub);
   t1.launch(s, full_kernel("rec"));
-  t1.gpu().end_record();
+  rt.end_record();
   rt.synchronize_device();
   ASSERT_DOUBLE_EQ(rt.engine().tenant_completed_work(1), 5.0);
   // Two replays: the recorded op re-enqueues on tenant 1's stream, so
@@ -299,6 +300,26 @@ TEST(TenantTagging, RecordedReplayKeepsAttribution) {
   rt.synchronize_device();
   EXPECT_DOUBLE_EQ(rt.engine().tenant_completed_work(1), 15.0);
   EXPECT_DOUBLE_EQ(rt.engine().tenant_completed_work(0), 0.0);
+}
+
+// A host read is billed to the array's owner, whoever called last: its
+// D2H rides the owner's service stream.
+TEST(TenantTagging, HostReadRidesOwnersServiceStream) {
+  GpuRuntime rt(DeviceSpec::test_device());
+  TenantManager mgr(rt);
+  Tenant& t0 = mgr.create_tenant({"zero", 1.0});
+  Tenant& t1 = mgr.create_tenant({"one", 1.0});
+  const StreamId s = t1.create_stream();
+  const ArrayId a = t1.alloc(4096, "a");
+  LaunchSpec k = full_kernel("w");
+  k.arrays = {{a, /*write=*/true}};
+  t1.launch(s, k);
+  t1.synchronize();
+  const long t1_ops = rt.engine().tenant_completed_ops(1);
+  (void)t0.create_stream();
+  rt.host_read(a);
+  EXPECT_EQ(rt.engine().tenant_completed_ops(0), 0);
+  EXPECT_EQ(rt.engine().tenant_completed_ops(1), t1_ops + 1);
 }
 
 TEST(TenantTagging, WeightValidation) {

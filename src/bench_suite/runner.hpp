@@ -37,13 +37,14 @@ struct RunResult {
   std::string timeline_ascii;  ///< filled when requested
   long engine_solves = 0;      ///< rate re-solve passes inside the engine
   long engine_solved_ops = 0;  ///< per-op rate assignments across all solves
-  /// Full per-op execution record (filled when RunOptions::keep_timeline).
-  std::vector<sim::TimelineEntry> timeline;
+  /// Full per-op execution record (filled when RunOptions::keep_timeline);
+  /// a copy of the run's Timeline, so entry names resolve through it.
+  sim::Timeline timeline;
 };
 
 struct RunOptions {
   bool keep_timeline_ascii = false;
-  bool keep_timeline = false;  ///< copy the timeline entries into the result
+  bool keep_timeline = false;  ///< copy the timeline into the result
   bool prefetch = true;  ///< auto-prefetch for the GrCUDA parallel scheduler
   rt::StreamPolicy stream_policy = rt::StreamPolicy::FifoReuse;
   bool honor_read_only = true;

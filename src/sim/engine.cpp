@@ -70,6 +70,7 @@ Engine::Engine(Machine machine)
       env != nullptr && *env != '\0' && !(env[0] == '0' && env[1] == '\0')) {
     solver_path_ = SolverPath::Legacy;
   }
+  wait_marker_name_ = timeline_.intern("wait_event");
   streams_.emplace_back();  // default stream 0, device 0
 }
 
@@ -212,7 +213,7 @@ double Engine::tenant_completed_work(TenantId t) const {
 
 double Engine::tenant_inflight_work(TenantId t) const {
   double sum = 0;
-  for (const Op& op : slab_) {
+  for (const OpCore& op : slab_) {
     if (op.state != OpState::Running || op.kind != OpKind::Kernel ||
         op.tenant != t) {
       continue;
@@ -262,11 +263,6 @@ const Engine::OpRecord& Engine::record_of(OpId id, const char* who) const {
   return records_[static_cast<std::size_t>(id - 1)];
 }
 
-Op& Engine::live_op(OpId id) {
-  const OpRecord& rec = records_[static_cast<std::size_t>(id - 1)];
-  return slab_[static_cast<std::size_t>(rec.slot)];
-}
-
 void Engine::check_enqueueable(const Op& op) const {
   if (op.stream < 0 || static_cast<std::size_t>(op.stream) >= streams_.size()) {
     throw ApiError("enqueue: invalid stream " + std::to_string(op.stream));
@@ -295,48 +291,76 @@ void Engine::check_stream_id(StreamId stream, const char* who) const {
   }
 }
 
-OpId Engine::enqueue(Op op, TimeUs host_time) {
+OpId Engine::enqueue(const Op& op, TimeUs host_time) {
   check_enqueueable(op);
+  return admit_op(op, host_time);
+}
+
+std::int32_t Engine::admit(OpKind kind, StreamId stream, Timeline::NameId name,
+                           TimeUs host_time) {
   if (txn_open_) {
     txn_last_time_ = std::max(txn_last_time_, host_time);
     ++txn_ops_;
   }
-  op.device = streams_[static_cast<std::size_t>(op.stream)].device;
-  op.tenant = streams_[static_cast<std::size_t>(op.stream)].tenant;
-  if (op.kind != OpKind::CopyP2P) op.peer = kInvalidDevice;
-  op.id = next_op_id_++;
-  op.enqueue_time = std::max(host_time, op.enqueue_time);
-  op.state = OpState::Queued;
-  op.rate = 0;
-  op.rate_since = 0;
-  op.class_pos = -1;
-  op.heap_seq = 0;
-  op.gated_events.clear();
-
-  const OpId id = op.id;
-  const StreamId stream = op.stream;
-  const OpKind kind = op.kind;
-
   std::int32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    slab_[static_cast<std::size_t>(slot)] = std::move(op);
   } else {
     slot = static_cast<std::int32_t>(slab_.size());
-    slab_.push_back(std::move(op));
+    slab_.emplace_back();
+    cold_.emplace_back();
   }
-  records_.push_back({slot, kind, stream, -1, -1});
+  // Retired slots were reset in place, so only the op's own fields remain
+  // to be written.
+  const StreamState& st = streams_[static_cast<std::size_t>(stream)];
+  OpCore& op = slab_[static_cast<std::size_t>(slot)];
+  op.id = next_op_id_++;
+  op.kind = kind;
+  op.stream = stream;
+  op.device = st.device;
+  op.tenant = st.tenant;
+  op.name = name;
+  op.enqueue_time = host_time;
+  records_.push_back({slot, stream, kind, name, -1, -1});
   ++live_ops_;
   peak_resident_ = std::max(peak_resident_, live_ops_);
 
   auto& fifo = streams_[static_cast<std::size_t>(stream)].fifo;
   const bool new_head = fifo.empty();
-  fifo.push_back(id);
+  fifo.push_back(op.id);
   // Only a fresh head can change a stream's startability; callers advance
   // the clock right after, which drains the ready worklist.
   if (new_head) mark_pending(stream);
-  return id;
+  return slot;
+}
+
+OpId Engine::admit_op(const Op& op, TimeUs host_time) {
+  const std::int32_t slot =
+      admit(op.kind, op.stream, timeline_.intern(op.name), host_time);
+  OpCore& core = slab_[static_cast<std::size_t>(slot)];
+  core.enqueue_time = std::max(host_time, op.enqueue_time);
+  if (op.kind == OpKind::CopyP2P) core.peer = op.peer;
+  core.work = op.work;
+  core.bytes = op.bytes;
+  core.bw_need = op.bw_need;
+  if (op.kind == OpKind::Kernel) {
+    core.fill =
+        (op.sm_demand / machine_.device(core.device).sm_count) * op.occupancy;
+  }
+  OpCold& cold = cold_[static_cast<std::size_t>(slot)];
+  cold.prof = op.prof;
+  if (op.on_complete) cold.on_complete = op.on_complete;
+  return core.id;
+}
+
+OpId Engine::admit_wait_marker(StreamId stream, EventId event,
+                               TimeUs host_time) {
+  const std::int32_t slot =
+      admit(OpKind::Marker, stream, wait_marker_name_, host_time);
+  OpCore& core = slab_[static_cast<std::size_t>(slot)];
+  core.wait = event;
+  return core.id;
 }
 
 void Engine::record_event(EventId event, StreamId stream, TimeUs host_time) {
@@ -352,7 +376,8 @@ void Engine::record_event(EventId event, StreamId stream, TimeUs host_time) {
   } else {
     ev.gate = fifo.back();
     ev.done_at = kTimeInfinity;  // set when the gate op completes
-    live_op(ev.gate).gated_events.push_back(event);
+    const OpRecord& rec = records_[static_cast<std::size_t>(ev.gate - 1)];
+    list_push(cold_[static_cast<std::size_t>(rec.slot)].gates, event);
   }
   // Re-recording changes what waiting heads observe: re-examine them.
   wake_event_waiters(ev);
@@ -363,53 +388,41 @@ void Engine::set_on_complete(OpId op, std::function<void()> fn) {
   if (rec.slot < 0) {
     throw ApiError("set_on_complete: op already completed");
   }
-  slab_[static_cast<std::size_t>(rec.slot)].on_complete = std::move(fn);
-}
-
-Op Engine::make_wait_marker(StreamId stream, EventId event) {
-  Op marker;
-  marker.kind = OpKind::Marker;
-  marker.stream = stream;
-  marker.name = "wait_event";
-  marker.work = 0;
-  marker.waits.push_back(event);
-  return marker;
+  cold_[static_cast<std::size_t>(rec.slot)].on_complete = std::move(fn);
 }
 
 void Engine::wait_event(StreamId stream, EventId event, TimeUs host_time) {
   check_event_id(event, "wait_event");
-  enqueue(make_wait_marker(stream, event), host_time);
+  check_stream_id(stream, "wait_event");
+  admit_wait_marker(stream, event, host_time);
 }
 
 void Submission::enqueue(Op op, TimeUs host_time, BindFn bind) {
-  Item item;
+  Item& item = items_.emplace_back();
   item.kind = ItemKind::Enqueue;
   item.op = std::move(op);
   item.bind = std::move(bind);
   item.host_time = host_time;
-  items_.push_back(std::move(item));
   ++num_ops_;
   sealed_gen_ = 0;  // mutation: the next commit re-validates
 }
 
 void Submission::record_event(EventId event, StreamId stream,
                               TimeUs host_time) {
-  Item item;
+  Item& item = items_.emplace_back();
   item.kind = ItemKind::Record;
   item.event = event;
   item.stream = stream;
   item.host_time = host_time;
-  items_.push_back(std::move(item));
   sealed_gen_ = 0;
 }
 
 void Submission::wait_event(StreamId stream, EventId event, TimeUs host_time) {
-  Item item;
+  Item& item = items_.emplace_back();
   item.kind = ItemKind::Wait;
   item.event = event;
   item.stream = stream;
   item.host_time = host_time;
-  items_.push_back(std::move(item));
   ++num_ops_;  // lowered to a wait-marker op: consumes an op id
   sealed_gen_ = 0;
 }
@@ -492,10 +505,10 @@ std::vector<OpId> Engine::commit(Submission& sub) {
   sub.num_ops_ = 0;
 
   begin_transaction(items.front().host_time);
-  for (Submission::Item& item : items) {
+  for (const Submission::Item& item : items) {
     switch (item.kind) {
       case Submission::ItemKind::Enqueue: {
-        const OpId id = enqueue(std::move(item.op), item.host_time);
+        const OpId id = admit_op(item.op, item.host_time);
         ids.push_back(id);
         if (item.bind) item.bind(*this, id);
         break;
@@ -507,7 +520,7 @@ std::vector<OpId> Engine::commit(Submission& sub) {
         // Inline wait_event so the marker's id lands in `ids` like any
         // other enqueued op.
         ids.push_back(
-            enqueue(make_wait_marker(item.stream, item.event), item.host_time));
+            admit_wait_marker(item.stream, item.event, item.host_time));
         break;
     }
   }
@@ -536,8 +549,8 @@ std::size_t Engine::apply_submission(const Submission& sub) {
     const Submission::Item& item = sub.items_[i];
     switch (item.kind) {
       case Submission::ItemKind::Enqueue: {
-        Op op = item.op;  // replayed by copy: the recording stays intact
-        const OpId id = enqueue(std::move(op), item.host_time);
+        // Read in place: the recording stays intact for the next replay.
+        const OpId id = admit_op(item.op, item.host_time);
         if (item.bind) item.bind(*this, id);
         break;
       }
@@ -545,7 +558,7 @@ std::size_t Engine::apply_submission(const Submission& sub) {
         record_event(item.event, item.stream, item.host_time);
         break;
       case Submission::ItemKind::Wait:
-        enqueue(make_wait_marker(item.stream, item.event), item.host_time);
+        admit_wait_marker(item.stream, item.event, item.host_time);
         break;
     }
   }
@@ -600,38 +613,33 @@ TimeUs Engine::event_done_time(EventId event) const {
 
 Op Engine::op(OpId id) const {
   const OpRecord& rec = record_of(id, "op");
-  if (rec.slot >= 0) {
-    // Live: snapshot with lazily-accrued fluid progress folded in from the
-    // class progress mirror, so `done` reflects now().
-    Op snap = slab_[static_cast<std::size_t>(rec.slot)];
-    if (snap.state == OpState::Running && snap.class_pos >= 0) {
-      const auto cls = static_cast<std::size_t>(class_index(snap));
-      const auto pos = static_cast<std::size_t>(snap.class_pos);
-      const double remaining = live_remaining(snap);
-      snap.done = snap.work - remaining;
-      snap.rate = live_rate(snap);
-      snap.rate_since = now_;
-      if (class_solver_[cls].incremental) {
-        snap.pred_end =
-            remaining <= kWorkEps * std::max(1.0, snap.work)
-                ? now_
-                : (snap.rate > 0 ? now_ + remaining / snap.rate
-                                 : kTimeInfinity);
-      } else {
-        snap.pred_end = class_pred_[cls][pos];
-      }
-    }
+  Op snap;
+  snap.id = id;
+  snap.kind = rec.kind;
+  snap.stream = rec.stream;
+  snap.name = timeline_.name(rec.name);
+  if (rec.slot < 0) {
+    // Retired: reconstruct the compact completion record.
+    snap.state = OpState::Done;
+    snap.start_time = rec.start;
+    snap.end_time = rec.end;
     return snap;
   }
-  // Retired: reconstruct the compact completion record.
-  Op done;
-  done.id = id;
-  done.kind = rec.kind;
-  done.stream = rec.stream;
-  done.state = OpState::Done;
-  done.start_time = rec.start;
-  done.end_time = rec.end;
-  return done;
+  // Live: the core's fields, with lazily-accrued fluid progress folded in
+  // from the class progress mirror, so `done` reflects now().
+  const OpCore& core = slab_[static_cast<std::size_t>(rec.slot)];
+  snap.device = core.device;
+  snap.peer = core.peer;
+  snap.tenant = core.tenant;
+  snap.enqueue_time = core.enqueue_time;
+  snap.bw_need = core.bw_need;
+  snap.prof = cold_[static_cast<std::size_t>(rec.slot)].prof;
+  snap.bytes = core.bytes;
+  snap.work = core.work;
+  snap.done = core.work - live_remaining(core);
+  snap.state = core.state;
+  snap.start_time = core.start_time;
+  return snap;
 }
 
 void Engine::mark_pending(StreamId stream) {
@@ -647,9 +655,40 @@ void Engine::mark_class_dirty(int cls) {
   dirty_classes_.push_back(cls);
 }
 
+void Engine::list_push(std::int32_t& head, std::int64_t id) {
+  std::int32_t node = free_node_;
+  if (node != kNoNode) {
+    free_node_ = list_nodes_[static_cast<std::size_t>(node)].next;
+    list_nodes_[static_cast<std::size_t>(node)] = {id, head};
+  } else {
+    node = static_cast<std::int32_t>(list_nodes_.size());
+    list_nodes_.push_back({id, head});
+  }
+  head = node;
+}
+
+template <typename Fn>
+void Engine::list_drain(std::int32_t& head, Fn&& fn) {
+  std::int32_t node = head;
+  head = kNoNode;
+  while (node != kNoNode) {
+    // Free the node before the call: fn may reuse it.
+    ListNode& n = list_nodes_[static_cast<std::size_t>(node)];
+    const std::int64_t id = n.id;
+    const std::int32_t next = n.next;
+    n.next = free_node_;
+    free_node_ = node;
+    fn(id);
+    node = next;
+  }
+}
+
 void Engine::wake_event_waiters(EventState& ev) {
-  for (StreamId s : ev.waiters) mark_pending(s);
-  ev.waiters.clear();
+  // Wake order is immaterial: drain_ready sorts each round by stream id
+  // (or the QoS key, which ends in the stream id).
+  list_drain(ev.waiters, [this](std::int64_t stream) {
+    mark_pending(static_cast<StreamId>(stream));
+  });
 }
 
 const Engine::SolverGroup* Engine::group_of(const ClassSolver& sol,
@@ -664,12 +703,24 @@ Engine::SolverGroup& Engine::group_of_mut(ClassSolver& sol, TenantId tenant) {
   for (SolverGroup& g : sol.groups) {
     if (g.tenant == tenant) return g;
   }
-  sol.groups.emplace_back();
-  sol.groups.back().tenant = tenant;
-  return sol.groups.back();
+  SolverGroup& g = sol.groups.emplace_back();
+  g.tenant = tenant;
+  if (!sol.spare_heaps.empty()) {
+    g.heap = std::move(sol.spare_heaps.back());
+    sol.spare_heaps.pop_back();
+  }
+  return g;
 }
 
-double Engine::live_remaining(const Op& op) const {
+void Engine::reset_groups(ClassSolver& sol) {
+  for (SolverGroup& g : sol.groups) {
+    g.heap.clear();
+    sol.spare_heaps.push_back(std::move(g.heap));
+  }
+  sol.groups.clear();
+}
+
+double Engine::live_remaining(const OpCore& op) const {
   if (op.state == OpState::Running && op.class_pos >= 0) {
     const auto cls = static_cast<std::size_t>(class_index(op));
     const auto pos = static_cast<std::size_t>(op.class_pos);
@@ -691,11 +742,11 @@ double Engine::live_remaining(const Op& op) const {
     if (r > 0 && now_ > since) rem = std::max(0.0, rem - r * (now_ - since));
     return rem;
   }
-  return op.remaining();
+  return op.work;
 }
 
-double Engine::live_rate(const Op& op) const {
-  if (op.state != OpState::Running || op.class_pos < 0) return op.rate;
+double Engine::live_rate(const OpCore& op) const {
+  if (op.state != OpState::Running || op.class_pos < 0) return 0.0;
   const auto cls = static_cast<std::size_t>(class_index(op));
   const auto pos = static_cast<std::size_t>(op.class_pos);
   const ClassSolver& sol = class_solver_[cls];
@@ -706,9 +757,8 @@ double Engine::live_rate(const Op& op) const {
   return class_rate_[cls][pos];
 }
 
-void Engine::complete_op(Op& op) {
+void Engine::complete_op(OpCore& op) {
   op.state = OpState::Done;
-  op.end_time = now_;
   ++completed_count_;
   if (op.tenant >= 0) {
     const auto t = static_cast<std::size_t>(op.tenant);
@@ -769,7 +819,7 @@ void Engine::complete_op(Op& op) {
         sol.w_max = 0;
         sol.w_min = kTimeInfinity;
         sol.zero_w = 0;
-        sol.groups.clear();
+        reset_groups(sol);
       }
     }
     if (op.kind == OpKind::Kernel) {
@@ -816,13 +866,15 @@ void Engine::complete_op(Op& op) {
 
   // Complete any event gated on this op (reverse index; re-records against
   // a newer gate are skipped by the gate check).
-  for (EventId eid : op.gated_events) {
+  const std::int32_t slot = rec.slot;
+  OpCold& cold = cold_[static_cast<std::size_t>(slot)];
+  list_drain(cold.gates, [this, &op](EventId eid) {
     EventState& ev = events_[static_cast<std::size_t>(eid)];
     if (ev.recorded && ev.gate == op.id && ev.done_at == kTimeInfinity) {
       ev.done_at = now_;
       wake_event_waiters(ev);
     }
-  }
+  });
 
   if (op.kind != OpKind::Marker) {
     TimelineEntry e;
@@ -833,25 +885,24 @@ void Engine::complete_op(Op& op) {
     e.peer = op.peer;
     e.name = op.name;
     e.start = op.start_time;
-    e.end = op.end_time;
+    e.end = now_;
     e.bytes = op.bytes;
-    e.prof = op.prof;
-    timeline_.record(e);
+    timeline_.record(e, cold.prof);
   }
 
   const StreamId stream = op.stream;
   const bool stream_drained = fifo.empty();
   if (!stream_drained) mark_pending(stream);
 
-  // Retire: move the callback out, release the slab slot (drops the op's
-  // strings/vectors/closures — live memory stays bounded by concurrency),
-  // then fire the callbacks. `op` must not be touched past this point: the
-  // callbacks may re-enter the engine and reuse the slot.
-  auto fn = std::move(op.on_complete);
-  const std::int32_t slot = rec.slot;
+  // Retire: move the callback out, reset the slot in place and release it,
+  // then fire the callbacks. `op`/`cold` must not be touched past this
+  // point: the callbacks may re-enter the engine and reuse the slot.
+  auto fn = std::move(cold.on_complete);
+  cold.on_complete = nullptr;
+  cold.prof = KernelProfile{};
+  op = OpCore{};
   rec.slot = -1;
   --live_ops_;
-  slab_[static_cast<std::size_t>(slot)] = Op{};
   free_slots_.push_back(slot);
   if (fn) fn();
   // After on_complete: the callback may have enqueued fresh work, in which
@@ -884,7 +935,7 @@ void Engine::remove_stream_idle_observer(int token) {
                 [token](const auto& o) { return o.first == token; });
 }
 
-void Engine::push_start(Op& op, TimeUs at) {
+void Engine::push_start(OpCore& op, TimeUs at) {
   if (op.heap_seq != 0) ++start_heap_stale_;  // displaced previous entry
   op.heap_seq = next_heap_seq_++;
   start_heap_.push_back({at, op.id, op.heap_seq});
@@ -911,30 +962,30 @@ void Engine::check_stream_head(StreamId stream) {
   if (fifo.empty()) return;
   const OpId id = fifo.front();
   OpRecord& rec = records_[static_cast<std::size_t>(id - 1)];
-  Op& op = slab_[static_cast<std::size_t>(rec.slot)];
+  OpCore& op = slab_[static_cast<std::size_t>(rec.slot)];
   if (op.state != OpState::Queued) return;
 
-  // Earliest possible start among enqueue time and event completions. A
-  // head blocked on something with no known time registers on that
-  // blocker's waiter list; a head blocked only by the clock goes into the
-  // start heap at its known start time.
+  // Earliest possible start among enqueue time and the awaited event's
+  // completion. A head blocked on something with no known time registers
+  // on that blocker's waiter list; a head blocked only by the clock goes
+  // into the start heap at its known start time.
   TimeUs at = op.enqueue_time;
-  for (EventId e : op.waits) {
-    EventState& ev = events_[static_cast<std::size_t>(e)];
+  if (op.wait != kInvalidEvent) {
+    EventState& ev = events_[static_cast<std::size_t>(op.wait)];
     if (!ev.recorded || ev.done_at == kTimeInfinity) {
       // Unknown completion time: woken by the gate op or a re-record.
-      ev.waiters.push_back(stream);
+      list_push(ev.waiters, stream);
       return;
     }
     at = std::max(at, ev.done_at);
   }
   if (at > now_ + kWorkEps) {
     push_start(op, at);
-    // A re-record may move an awaited event earlier than `at`: stay on the
-    // waiter lists so the change triggers a fresh examination.
-    for (EventId e : op.waits) {
-      EventState& ev = events_[static_cast<std::size_t>(e)];
-      if (ev.done_at > now_ + kWorkEps) ev.waiters.push_back(stream);
+    // A re-record may move the awaited event earlier than `at`: stay on
+    // its waiter list so the change triggers a fresh examination.
+    if (op.wait != kInvalidEvent) {
+      EventState& ev = events_[static_cast<std::size_t>(op.wait)];
+      if (ev.done_at > now_ + kWorkEps) list_push(ev.waiters, stream);
     }
     return;
   }
@@ -958,8 +1009,6 @@ void Engine::check_stream_head(StreamId stream) {
   }
   op.state = OpState::Running;
   op.start_time = now_;
-  op.rate = 0;
-  op.rate_since = now_;
   ++running_;
   const int cls = class_index(op);
   if (cls != kClassNone) {
@@ -969,9 +1018,8 @@ void Engine::check_stream_head(StreamId stream) {
     double w = 1.0;  // equal-share classes: unit weight
     if (op.kind == OpKind::Kernel) {
       // Capture the static demand once: the same expressions the solver
-      // evaluated per member per re-solve, now evaluated at class join.
-      const double fill =
-          (op.sm_demand / machine_.device(op.device).sm_count) * op.occupancy;
+      // evaluated per member per re-solve (the fill itself at enqueue).
+      const double fill = op.fill;
       const double solo_u = ResourceModel::utilization(fill);
       class_fill_[static_cast<std::size_t>(cls)].push_back(fill);
       class_solo_u_[static_cast<std::size_t>(cls)].push_back(solo_u);
@@ -980,7 +1028,7 @@ void Engine::check_stream_head(StreamId stream) {
       // (rate_i = C * fill_i / solo_u_i while no member caps or floors).
       w = solo_u > 0 ? fill / solo_u : 0.0;
     }
-    const double rem = op.remaining();
+    const double rem = op.work;
     class_remaining_[static_cast<std::size_t>(cls)].push_back(rem);
     class_work_[static_cast<std::size_t>(cls)].push_back(op.work);
     class_rate_[static_cast<std::size_t>(cls)].push_back(0);
@@ -1016,7 +1064,7 @@ void Engine::check_stream_head(StreamId stream) {
     class_venter_[static_cast<std::size_t>(cls)].push_back(venter);
     mark_class_dirty(cls);
   }
-  if (op.remaining() <= kWorkEps) {
+  if (op.work <= kWorkEps) {
     complete_op(op);  // zero-duration markers finish instantly
     // No references may be used past complete_op: the callback can grow
     // streams_/records_/slab_ re-entrantly.
@@ -1088,8 +1136,8 @@ void Engine::recompute_rates() {
 
     // Rates come from the class's compact demand data — kernels from the
     // SoA mirror, every transfer class from its member count — and
-    // progress folds and pred_end refreshes run over the dense progress
-    // mirror: the whole re-solve touches no Op at all.
+    // progress folds and pred refreshes run over the dense progress
+    // mirror: the whole re-solve touches no OpCore at all.
     const bool kernel_class =
         cls < p2p_base_ && cls % kSlotsPerDevice == kSlotKernel;
     double share = 0;
@@ -1379,7 +1427,7 @@ void Engine::demote_class(int cls) {
   sol.w_max = 0;
   sol.w_min = kTimeInfinity;
   sol.zero_w = 0;
-  sol.groups.clear();
+  reset_groups(sol);
 }
 
 void Engine::try_promote_class(int cls, bool kernel_class, double share) {
@@ -1396,7 +1444,7 @@ void Engine::try_promote_class(int cls, bool kernel_class, double share) {
   sol.w_max = 0;
   sol.w_min = kTimeInfinity;
   sol.zero_w = 0;
-  sol.groups.clear();
+  reset_groups(sol);
   const auto& members = class_members_[static_cast<std::size_t>(cls)];
   const auto& tenants = class_tenant_[static_cast<std::size_t>(cls)];
   const auto& wcol = class_w_[static_cast<std::size_t>(cls)];
@@ -1573,7 +1621,7 @@ void Engine::release_due_starts() {
       --start_heap_stale_;
       continue;
     }
-    Op& op = slab_[static_cast<std::size_t>(rec.slot)];
+    OpCore& op = slab_[static_cast<std::size_t>(rec.slot)];
     if (op.heap_seq != e.seq) {
       --start_heap_stale_;
       continue;
@@ -1619,7 +1667,7 @@ bool Engine::complete_due_ops() {
       continue;
     }
     // The due scan runs over the dense predicted-completion mirror; only
-    // actually-due members cost an Op touch (for their id).
+    // actually-due members cost an OpCore touch (for their id).
     const auto& pred = class_pred_[static_cast<std::size_t>(cls)];
     const auto& members = class_members_[static_cast<std::size_t>(cls)];
     for (std::size_t i = 0; i < members.size(); ++i) {
@@ -1636,7 +1684,7 @@ bool Engine::complete_due_ops() {
   for (const OpId id : due) {
     const OpRecord& rec = records_[static_cast<std::size_t>(id - 1)];
     if (rec.slot < 0) continue;
-    Op& op = slab_[static_cast<std::size_t>(rec.slot)];
+    OpCore& op = slab_[static_cast<std::size_t>(rec.slot)];
     if (op.state == OpState::Running) complete_op(op);
   }
   due_ = std::move(due);
@@ -1652,10 +1700,11 @@ void Engine::note_progress(bool advanced) {
   std::ostringstream msg;
   msg << "engine stalled at t=" << now_ << "us after " << kStallLimit
       << " steps without progress; running:";
-  for (const Op& op : slab_) {
+  for (const OpCore& op : slab_) {
     if (op.state != OpState::Running) continue;
     const double rate = live_rate(op);
-    msg << " [op " << op.id << " '" << op.name << "' dev " << op.device
+    msg << " [op " << op.id << " '" << timeline_.name(op.name) << "' dev "
+        << op.device
         << " remaining " << live_remaining(op) << " rate " << rate << "]";
   }
   msg << "; queued heads:";
@@ -1663,11 +1712,11 @@ void Engine::note_progress(bool advanced) {
     if (stream.fifo.empty()) continue;
     const OpRecord& rec =
         records_[static_cast<std::size_t>(stream.fifo.front() - 1)];
-    const Op& op = slab_[static_cast<std::size_t>(rec.slot)];
+    const OpCore& op = slab_[static_cast<std::size_t>(rec.slot)];
     if (op.state != OpState::Queued) continue;
-    msg << " [stream " << op.stream << " op " << op.id << " '" << op.name
-        << "' enqueue_t " << op.enqueue_time << " waits " << op.waits.size()
-        << "]";
+    msg << " [stream " << op.stream << " op " << op.id << " '"
+        << timeline_.name(op.name) << "' enqueue_t " << op.enqueue_time
+        << " waits " << (op.wait == kInvalidEvent ? 0 : 1) << "]";
   }
   throw Error(msg.str());
 }
@@ -1741,9 +1790,9 @@ void Engine::check_deadlock() {
     if (stream.fifo.empty()) continue;
     const OpRecord& rec =
         records_[static_cast<std::size_t>(stream.fifo.front() - 1)];
-    const Op& op = slab_[static_cast<std::size_t>(rec.slot)];
-    msg << " [stream " << op.stream << " op " << op.id << " '" << op.name
-        << "']";
+    const OpCore& op = slab_[static_cast<std::size_t>(rec.slot)];
+    msg << " [stream " << op.stream << " op " << op.id << " '"
+        << timeline_.name(op.name) << "']";
   }
   throw Error(msg.str());
 }

@@ -16,9 +16,10 @@
 //     the event without blocking the host.
 //
 // Engine core (see docs/engine-internals.md for the full design):
-//   * op storage is a contiguous slab with a free list; completed ops retire
-//     to a compact per-id record (start/end/kind/stream) so live memory is
-//     bounded by the number of concurrently in-flight ops;
+//   * op storage is a contiguous slab of compact hot records (OpCore) with a
+//     free list and a parallel cold slot per slab entry; completed ops
+//     retire to a compact per-id record (start/end/kind/stream/name) so live
+//     memory is bounded by the number of concurrently in-flight ops;
 //   * each running op carries its predicted completion time, refreshed by
 //     its class's rate re-solve (which iterates the class anyway); the
 //     engine keeps the per-class minimum, so finding the next completion is
@@ -71,7 +72,9 @@ class Submission {
   /// (set_on_complete, host-side pending-op tracking).
   using BindFn = std::function<void(Engine&, OpId)>;
 
-  /// Append an op enqueue (validated at commit, not here).
+  /// Append an op enqueue (validated at commit, not here). The op is moved
+  /// straight into a new item; commit copies its fields once into the
+  /// engine's slot.
   void enqueue(Op op, TimeUs host_time, BindFn bind = nullptr);
   /// Append an event record on `stream`.
   void record_event(EventId event, StreamId stream, TimeUs host_time);
@@ -206,7 +209,9 @@ class Engine {
   // --- host-side API (host_time is the caller's current virtual time) ---
   /// Enqueue an op on `op.stream`; returns its id. The op executes on the
   /// stream's device; CopyP2P ops must carry a valid `peer` source device.
-  OpId enqueue(Op op, TimeUs host_time);
+  /// Its fields are copied once into the engine's slot (the name interned
+  /// into the timeline's name table); `op` itself is not kept.
+  OpId enqueue(const Op& op, TimeUs host_time);
   /// Record `event` on `stream`: the event completes when all work issued
   /// to the stream before this call has completed.
   void record_event(EventId event, StreamId stream, TimeUs host_time);
@@ -281,9 +286,11 @@ class Engine {
   [[nodiscard]] TimeUs event_done_time(EventId event) const;
   /// Snapshot an op's state (by value: live ops move through a recycled
   /// slab, retired ops only persist as compact completion records, so no
-  /// stable reference exists). Live ops are returned in full with progress
-  /// folded to now(); retired ops carry id/kind/stream/start_time/end_time
-  /// and state only.
+  /// stable reference exists). Live ops carry their core fields, name and
+  /// profile with progress (`done`) folded to now(); retired ops carry
+  /// id/kind/stream/name/start_time/end_time and state only. Kernel
+  /// sm_demand/occupancy (folded into the fill at enqueue) and on_complete
+  /// are never reported.
   [[nodiscard]] Op op(OpId id) const;
   [[nodiscard]] bool all_idle() const { return live_ops_ == 0; }
 
@@ -389,20 +396,37 @@ class Engine {
     TenantId tenant = kDefaultTenant;  ///< ops inherit this at enqueue
     bool pending = false;   ///< queued for a head ready-check
   };
+  static constexpr std::int32_t kNoNode = -1;  ///< empty pooled list
   struct EventState {
     bool recorded = false;
+    /// Pooled list (list_nodes_) of streams whose head waits on this
+    /// event; woken (and freed) when the event fires or is re-recorded.
+    std::int32_t waiters = kNoNode;
     OpId gate = kInvalidOp;       ///< op whose completion triggers the event
     TimeUs done_at = kTimeInfinity;
-    /// Streams whose head waits on this event; woken (and cleared) when the
-    /// event fires or is re-recorded.
-    std::vector<StreamId> waiters;
+  };
+  /// One node of the pooled singly-linked id lists (event waiter lists and
+  /// per-op gate lists), so neither allocates per event or per op.
+  struct ListNode {
+    std::int64_t id = 0;
+    std::int32_t next = kNoNode;
+  };
+  /// Cold half of a live op, parallel to its OpCore slab slot: read only at
+  /// record_event, completion and snapshots. Reset in place on retirement.
+  struct OpCold {
+    KernelProfile prof;
+    std::function<void()> on_complete;
+    /// Pooled list of events gated on this op's completion (reverse index
+    /// maintained by record_event, so completion does not scan all events).
+    std::int32_t gates = kNoNode;
   };
   /// Compact per-id op record: slab slot while live, completion times after
   /// retirement. Indexed by OpId - 1 (ids are dense).
   struct OpRecord {
     std::int32_t slot = -1;  ///< slab slot; -1 once retired
-    OpKind kind = OpKind::Marker;
     StreamId stream = kInvalidStream;
+    OpKind kind = OpKind::Marker;
+    Timeline::NameId name = 0;
     TimeUs start = -1;
     TimeUs end = -1;
   };
@@ -463,6 +487,10 @@ class Engine {
     double w_min = kTimeInfinity;
     long zero_w = 0;  ///< members with no usable weight (forces scans)
     std::vector<SolverGroup> groups;
+    /// Finish-heap buffers of dropped groups, handed to the next new group
+    /// so a class that empties and refills (a DMA class holds at most one
+    /// copy) does not reallocate its heap on every join.
+    std::vector<std::vector<FinishEntry>> spare_heaps;
   };
 
   [[nodiscard]] static constexpr int slot_of(OpKind kind) {
@@ -476,7 +504,7 @@ class Engine {
   }
   /// Index of the op's solver domain in the class table: device-keyed for
   /// the four per-device classes, link-keyed (peer -> device) for CopyP2P.
-  [[nodiscard]] int class_index(const Op& op) const {
+  [[nodiscard]] int class_index(const OpCore& op) const {
     if (op.kind == OpKind::CopyP2P) {
       return p2p_base_ + op.peer * num_devices() + op.device;
     }
@@ -485,7 +513,6 @@ class Engine {
                               : op.device * kSlotsPerDevice + slot;
   }
 
-  [[nodiscard]] Op& live_op(OpId id);
   [[nodiscard]] const OpRecord& record_of(OpId id, const char* who) const;
 
   /// Shared enqueue validation (throws ApiError): stream range and CopyP2P
@@ -497,8 +524,16 @@ class Engine {
   /// Validate-or-skip (sealing) plus the item-apply loop shared by the
   /// const commit and ingest(); the caller brackets the transaction.
   std::size_t apply_submission(const Submission& sub);
-  /// The wait_event lowering: one zero-work marker gated on `event`.
-  [[nodiscard]] static Op make_wait_marker(StreamId stream, EventId event);
+  /// Claim a slab slot for a new op (fresh id, per-id record, FIFO append,
+  /// transaction accounting); the caller fills the kind-specific fields of
+  /// the returned slot's core and cold halves.
+  std::int32_t admit(OpKind kind, StreamId stream, Timeline::NameId name,
+                     TimeUs host_time);
+  /// enqueue() without validation: copies `op`'s fields into a new slot.
+  OpId admit_op(const Op& op, TimeUs host_time);
+  /// The wait_event lowering: one zero-work marker gated on `event`,
+  /// written straight into its slot.
+  OpId admit_wait_marker(StreamId stream, EventId event, TimeUs host_time);
   void check_event_id(EventId event, const char* who) const;
   void check_stream_id(StreamId stream, const char* who) const;
 
@@ -507,11 +542,17 @@ class Engine {
   /// Mark one class's rates as needing a re-solve (idempotent; feeds the
   /// dirty worklist recompute_rates drains).
   void mark_class_dirty(int cls);
+  /// Push `id` onto the pooled list headed by `head`.
+  void list_push(std::int32_t& head, std::int64_t id);
+  /// Empty the list headed by `head` into the pool, calling fn(id) for each
+  /// node (most recent first). fn may push and drain other lists.
+  template <typename Fn>
+  void list_drain(std::int32_t& head, Fn&& fn);
   /// Wake every stream registered on `ev` (event fired or re-recorded).
   void wake_event_waiters(EventState& ev);
   /// Remaining work of a live op folded to now() — from the class mirror
-  /// for running classed ops, from the Op itself otherwise.
-  [[nodiscard]] double live_remaining(const Op& op) const;
+  /// for running classed ops, its whole work otherwise.
+  [[nodiscard]] double live_remaining(const OpCore& op) const;
   /// Examine `stream`'s head; start it if its start condition holds at
   /// now_, otherwise register it exactly where its wake signal will occur
   /// (start heap for known future times, event / copy-engine waiter lists
@@ -521,7 +562,7 @@ class Engine {
   /// in ascending id per round, mirroring the seed engine's sweep order
   /// (which decides copy-engine handover among same-instant candidates).
   void drain_ready();
-  void complete_op(Op& op);
+  void complete_op(OpCore& op);
   /// Re-solve rates for every dirty resource class, refreshing each
   /// member's predicted completion and the class minimum.
   void recompute_rates();
@@ -530,6 +571,9 @@ class Engine {
   [[nodiscard]] const SolverGroup* group_of(const ClassSolver& sol,
                                             TenantId tenant) const;
   [[nodiscard]] SolverGroup& group_of_mut(ClassSolver& sol, TenantId tenant);
+  /// Drop every group of `sol`, parking their finish-heap buffers on its
+  /// spare list (group order and arithmetic are unaffected).
+  static void reset_groups(ClassSolver& sol);
   /// O(groups) re-solve of an incremental-mode dirty class: advance every
   /// group's V to now_, re-derive each group's service slope from the
   /// aggregates, and refresh class_next_ from the finish-index fronts.
@@ -553,7 +597,7 @@ class Engine {
   void try_promote_class(int cls, bool kernel_class, double share);
   /// Current rate of a live running member (mode-aware: c * w when its
   /// class is incremental, the rate mirror otherwise).
-  [[nodiscard]] double live_rate(const Op& op) const;
+  [[nodiscard]] double live_rate(const OpCore& op) const;
   /// Weighted per-tenant fair sharing of one class whose members span
   /// several tenants: rewrites solve_rates_ (sized to the class) so each
   /// tenant's aggregate rate is weight-proportional, conserving the
@@ -569,7 +613,7 @@ class Engine {
   /// Push a start-heap entry for `op` (displacing its previous entry, if
   /// any, into staleness) and compact the heap when stale entries outnumber
   /// live ones.
-  void push_start(Op& op, TimeUs at);
+  void push_start(OpCore& op, TimeUs at);
   /// Drop every stale entry and re-heapify (stale entries are otherwise
   /// discarded lazily as they surface at the top).
   void compact_start_heap();
@@ -598,6 +642,9 @@ class Engine {
   Machine machine_;
   std::vector<ResourceModel> models_;  ///< one per roster device
   Timeline timeline_;
+  /// Name id of every wait marker (interned once; Timeline::clear keeps
+  /// the table).
+  Timeline::NameId wait_marker_name_ = 0;
   std::vector<std::pair<int, std::function<void(StreamId)>>>
       stream_idle_observers_;
   int next_observer_token_ = 1;
@@ -612,9 +659,13 @@ class Engine {
 
   std::vector<StreamState> streams_;
   std::vector<EventState> events_;
+  /// Node pool of the waiter and gate lists, with its free list.
+  std::vector<ListNode> list_nodes_;
+  std::int32_t free_node_ = kNoNode;
 
-  // --- slab op storage ---
-  std::vector<Op> slab_;
+  // --- slab op storage: hot cores and their parallel cold slots ---
+  std::vector<OpCore> slab_;
+  std::vector<OpCold> cold_;
   std::vector<std::int32_t> free_slots_;
   std::vector<OpRecord> records_;  ///< per-id, dense, compact
   long live_ops_ = 0;              ///< queued + running (slab occupancy)
@@ -639,7 +690,7 @@ class Engine {
   /// like class_members_; only kernel-slot classes populate them): device
   /// fill, solo utilization, DRAM appetite — captured once at class join
   /// so the hot re-solve iterates three dense double arrays instead of
-  /// chasing Op pointers. Equal-share classes (copies, faults, peer links)
+  /// chasing slab entries. Equal-share classes (copies, faults, peer links)
   /// need only their member count and keep no mirror.
   std::vector<std::vector<double>> class_fill_;
   std::vector<std::vector<double>> class_solo_u_;
@@ -649,7 +700,7 @@ class Engine {
   /// epsilon), current rate, and predicted completion. class_since_[cls]
   /// is the fold timestamp — a per-class scalar, valid because each
   /// re-solve folds every member. The hot paths (re-solve, due scan) are
-  /// pure passes over these dense arrays; a member's Op is touched only
+  /// pure passes over these dense arrays; a member's OpCore is touched only
   /// at join, completion, and queries.
   std::vector<std::vector<double>> class_remaining_;
   std::vector<std::vector<double>> class_work_;
@@ -670,9 +721,9 @@ class Engine {
   std::vector<std::vector<double>> class_venter_;
   /// Per-class solver mode + aggregates + groups + finish indices.
   std::vector<ClassSolver> class_solver_;
-  /// Minimum pred_end over each class's members (infinity when empty);
-  /// valid for clean classes, refreshed by recompute_rates() for dirty
-  /// ones.
+  /// Minimum predicted completion over each class's members (infinity
+  /// when empty); valid for clean classes, refreshed by recompute_rates()
+  /// for dirty ones.
   std::vector<TimeUs> class_next_;
   std::vector<char> class_dirty_;
   std::vector<int> dirty_classes_;  ///< worklist of dirty class indices

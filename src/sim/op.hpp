@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "sim/types.hpp"
 
@@ -45,7 +44,10 @@ struct KernelProfile {
 /// Execution state of an op inside the engine.
 enum class OpState { Queued, Running, Done };
 
-/// One device operation: a node in a stream FIFO.
+/// One device operation: a node in a stream FIFO. This is the descriptor
+/// callers fill for Engine::enqueue / Submission::enqueue and the snapshot
+/// Engine::op(id) returns; the engine itself keeps only an OpCore per live
+/// op (plus a cold slot for `prof` and `on_complete`).
 ///
 /// `work` is the total abstract work: for kernels it is the solo execution
 /// time in microseconds (execution at rate 1.0 with an uncontended device);
@@ -70,32 +72,52 @@ struct Op {
   TimeUs enqueue_time = 0;  ///< host time of the API call; earliest start
 
   // --- kernel demands (valid when kind == Kernel) ---
+  // sm_demand and occupancy are folded into the op's device fill at
+  // enqueue; snapshots do not report them back.
   double sm_demand = 0;   ///< SMs needed to run at full rate
   double occupancy = 0;   ///< per-SM thread occupancy in [0,1]
   double bw_need = 0;     ///< DRAM bytes/us consumed when running at rate 1
   KernelProfile prof;
-  LaunchConfig cfg;
 
   // --- transfer demands (valid for CopyH2D/CopyD2H/Fault) ---
   double bytes = 0;
 
-  // --- progress ---
+  // --- progress (`work` is input; the rest is snapshot output, ignored
+  // on enqueue) ---
   double work = 0;
   double done = 0;
   OpState state = OpState::Queued;
   TimeUs start_time = -1;
   TimeUs end_time = -1;
 
-  // --- engine scheduling state (managed by Engine; opaque to callers) ---
-  /// Instantaneous fluid-model rate while running (0 until first solve).
-  double rate = 0;
-  /// Virtual time up to which `done` reflects progress at `rate`; progress
-  /// since then is folded in lazily when the rate changes or on query.
-  TimeUs rate_since = 0;
-  /// Predicted completion time at the current rate (set at each class
-  /// re-solve; infinity while rate-less). The engine's per-class minimum
-  /// over this field replaces a per-op completion heap.
-  TimeUs pred_end = 0;
+  /// Invoked exactly once when the op completes (functional execution of
+  /// kernels, residency bookkeeping, test hooks). Not carried by snapshots.
+  std::function<void()> on_complete;
+
+  [[nodiscard]] double remaining() const { return work - done; }
+};
+
+/// The engine's hot per-op record: only what scheduling reads. Live ops sit
+/// in a slab of these; the rarely-touched rest (`prof`, `on_complete`, the
+/// events gated on the op) lives in a parallel cold slot, and the name is
+/// an id into the Timeline's name table.
+struct OpCore {
+  OpId id = kInvalidOp;
+  TimeUs enqueue_time = 0;
+  TimeUs start_time = -1;
+  double work = 0;
+  double bytes = 0;
+  double bw_need = 0;
+  /// Kernels: device fill (sm_demand / sm_count) * occupancy, computed once
+  /// at enqueue; the solver reads it at class join.
+  double fill = 0;
+  /// Event that must be complete before the op may start (wait markers
+  /// only; kInvalidEvent otherwise).
+  EventId wait = kInvalidEvent;
+  StreamId stream = kInvalidStream;
+  DeviceId device = kDefaultDevice;
+  DeviceId peer = kInvalidDevice;
+  TenantId tenant = kDefaultTenant;
   /// Position inside the engine's per-resource-class member list (swap-and-
   /// pop removal); -1 while not running or for rate-less kinds.
   std::int32_t class_pos = -1;
@@ -103,18 +125,9 @@ struct Op {
   /// whose stamp no longer matches are stale; the engine counts them and
   /// compacts the heap when they outnumber live entries.
   std::uint32_t heap_seq = 0;
-  /// Events gated on this op's completion (reverse index maintained by
-  /// record_event, so completion does not scan all events).
-  std::vector<EventId> gated_events;
-
-  /// Events that must be complete before this op may start.
-  std::vector<EventId> waits;
-
-  /// Invoked exactly once when the op completes (functional execution of
-  /// kernels, residency bookkeeping, test hooks).
-  std::function<void()> on_complete;
-
-  [[nodiscard]] double remaining() const { return work - done; }
+  std::uint32_t name = 0;  ///< id in the Timeline's name table
+  OpKind kind = OpKind::Marker;
+  OpState state = OpState::Queued;
 };
 
 }  // namespace psched::sim

@@ -833,7 +833,6 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
   op.kind = OpKind::Kernel;
   op.stream = stream;
   op.name = spec.name;
-  op.cfg = spec.config;
   op.prof = spec.profile;
   op.sm_demand = demand.sm_demand;
   op.occupancy = demand.occupancy;
@@ -1071,7 +1070,11 @@ double GpuRuntime::prefetch_overlap_fraction() const {
   IntervalSet kernels;  // built lazily: most runs have no prefetch entries
   bool have_kernels = false;
   for (const TimelineEntry& e : tl.entries()) {
-    if (e.name.rfind("prefetch:", 0) != 0) continue;
+    // A prefetch is a transfer issued under the "prefetch:" prefix; a
+    // kernel that happens to carry such a name is not one.
+    if (!is_transfer(e.kind) || tl.name(e).rfind("prefetch:", 0) != 0) {
+      continue;
+    }
     if (!have_kernels) {
       kernels = tl.kernel_cover();
       have_kernels = true;

@@ -15,18 +15,25 @@ bool counts_for_makespan(const TimelineEntry& e) {
 
 }  // namespace
 
-void Timeline::record(const TimelineEntry& e) {
+void Timeline::record(const TimelineEntry& e, const KernelProfile& prof) {
   if (counts_for_makespan(e)) {
     agg_.begin = std::min(agg_.begin, e.start);
     agg_.end = std::max(agg_.end, e.end);
   }
   if (e.kind == OpKind::Kernel) {
     agg_.kernel_time += e.duration();
-    agg_.kernel_profile += e.prof;
+    agg_.kernel_profile += prof;
   } else if (is_transfer(e.kind)) {
     agg_.transfer_time += e.duration();
   }
   entries_.push_back(e);
+}
+
+Timeline::NameId Timeline::intern(const std::string& name) {
+  const auto [it, added] =
+      name_ids_.try_emplace(name, static_cast<NameId>(names_.size()));
+  if (added) names_.push_back(name);
+  return it->second;
 }
 
 TimeUs Timeline::makespan() const {
@@ -142,7 +149,11 @@ std::string Timeline::render_ascii(int width) const {
       hi = std::clamp(hi, lo + 1, width);
       char c = '?';
       switch (e->kind) {
-        case OpKind::Kernel: c = e->name.empty() ? 'K' : e->name[0]; break;
+        case OpKind::Kernel: {
+          const std::string& n = name(*e);
+          c = n.empty() ? 'K' : n[0];
+          break;
+        }
         case OpKind::CopyH2D: c = '>'; break;
         case OpKind::CopyD2H: c = '<'; break;
         case OpKind::Fault: c = 'f'; break;
@@ -157,7 +168,7 @@ std::string Timeline::render_ascii(int width) const {
   for (auto& [stream, ops] : by_stream) {
     for (const TimelineEntry* e : ops) {
       if (e->kind == OpKind::Kernel) {
-        out << "  S" << stream << " " << e->name << " [" << e->start << ", "
+        out << "  S" << stream << " " << name(*e) << " [" << e->start << ", "
             << e->end << ") us\n";
       }
     }

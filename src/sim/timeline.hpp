@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/interval.hpp"
@@ -18,18 +20,20 @@
 
 namespace psched::sim {
 
-/// One completed operation.
+/// One completed operation. Kept small (56 bytes): a long run retains one
+/// per op. The name is an id into the owning Timeline's name table
+/// (Timeline::name resolves it); kernel counters are folded into the
+/// run-wide aggregate at record time instead of being stored per entry.
 struct TimelineEntry {
   OpId op = kInvalidOp;
   OpKind kind = OpKind::Marker;
   StreamId stream = kInvalidStream;
   DeviceId device = kDefaultDevice;  ///< device the op executed on
   DeviceId peer = kInvalidDevice;    ///< CopyP2P only: source device
-  std::string name;
+  std::uint32_t name = 0;            ///< id in Timeline's name table
   TimeUs start = 0;
   TimeUs end = 0;
   double bytes = 0;         ///< transfer size (transfers only)
-  KernelProfile prof;       ///< kernel counters (kernels only)
 
   [[nodiscard]] TimeUs duration() const { return end - start; }
   [[nodiscard]] Interval interval() const { return {start, end}; }
@@ -45,14 +49,33 @@ struct OverlapMetrics {
 
 class Timeline {
  public:
+  using NameId = std::uint32_t;
+
+  Timeline() { intern(""); }  // id 0: the empty name
+
+  /// Drop every entry and the aggregates. The name table is kept, so ids
+  /// handed out earlier (held by ops still in flight) stay valid.
   void clear() {
     entries_.clear();
     agg_ = Aggregates{};
   }
   /// Record one completed op; aggregate quantities (makespan bounds, busy
-  /// totals, kernel counters) are folded in here so the hot-path queries
-  /// below are O(1) instead of rescanning the entry list.
-  void record(const TimelineEntry& e);
+  /// totals, kernel counters from `prof`) are folded in here so the
+  /// hot-path queries below are O(1) instead of rescanning the entry list.
+  void record(const TimelineEntry& e, const KernelProfile& prof = {});
+
+  /// Id of `name` in the name table, adding it on first sight. Ids are
+  /// dense and stable for the table's lifetime; a copied Timeline carries
+  /// its table, so its entries resolve the same.
+  NameId intern(const std::string& name);
+  /// The name behind an id (throws std::out_of_range for an id this table
+  /// never issued). The reference is valid until the next intern().
+  [[nodiscard]] const std::string& name(NameId id) const {
+    return names_.at(id);
+  }
+  [[nodiscard]] const std::string& name(const TimelineEntry& e) const {
+    return name(e.name);
+  }
 
   [[nodiscard]] const std::vector<TimelineEntry>& entries() const {
     return entries_;
@@ -103,6 +126,8 @@ class Timeline {
 
   std::vector<TimelineEntry> entries_;
   Aggregates agg_;
+  std::vector<std::string> names_;
+  std::unordered_map<std::string, NameId> name_ids_;
 };
 
 }  // namespace psched::sim

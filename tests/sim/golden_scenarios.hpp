@@ -26,7 +26,7 @@
 namespace psched::sim::golden {
 
 struct GoldenRun {
-  std::vector<TimelineEntry> entries;
+  Timeline timeline;  ///< a copy: entry names resolve through its table
   TimeUs makespan = 0;
   long solves = 0;      ///< Engine::solve_count() after the run
   long solved_ops = 0;  ///< Engine::solved_ops() after the run
@@ -40,7 +40,7 @@ inline GoldenRun run_contention_scenario() {
   build_contention_dag(eng, 1000, 16);
   GoldenRun r;
   r.makespan = eng.run_all();
-  r.entries = eng.timeline().entries();
+  r.timeline = eng.timeline();
   r.solves = eng.solve_count();
   r.solved_ops = eng.solved_ops();
   return r;
@@ -54,7 +54,7 @@ inline GoldenRun run_transfer_churn_scenario() {
   build_transfer_churn_dag(eng, 8, 400, 8);
   GoldenRun r;
   r.makespan = eng.run_all();
-  r.entries = eng.timeline().entries();
+  r.timeline = eng.timeline();
   r.solves = eng.solve_count();
   r.solved_ops = eng.solved_ops();
   return r;
@@ -74,7 +74,7 @@ inline GoldenRun run_benchmark_scenario(benchsuite::BenchId id) {
       *bench, benchsuite::Variant::GrcudaParallel,
       DeviceSpec::test_device(), cfg, opts);
   GoldenRun r;
-  r.entries = res.timeline;
+  r.timeline = res.timeline;
   r.makespan = res.gpu_time_us;
   r.solves = res.engine_solves;
   r.solved_ops = res.engine_solved_ops;
@@ -99,7 +99,7 @@ struct Fixture {
   TimeUs makespan = 0;
   long seed_solves = 0;
   long seed_solved_ops = 0;
-  std::vector<TimelineEntry> entries;
+  Timeline timeline;  ///< rebuilt from the file (names interned on load)
 };
 
 /// Scenario name usable as a file name and a gtest parameter name.
@@ -123,11 +123,11 @@ inline void write_fixture(const std::string& name, const GoldenRun& run) {
   out << buf;
   out << "seed_solves " << run.solves << "\n";
   out << "seed_solved_ops " << run.solved_ops << "\n";
-  out << "entries " << run.entries.size() << "\n";
-  for (const TimelineEntry& e : run.entries) {
+  out << "entries " << run.timeline.entries().size() << "\n";
+  for (const TimelineEntry& e : run.timeline.entries()) {
     std::snprintf(buf, sizeof(buf), "%s %d %.17g %.17g ", to_string(e.kind),
                   e.stream, e.start, e.end);
-    out << buf << e.name << "\n";
+    out << buf << run.timeline.name(e) << "\n";
   }
 }
 
@@ -151,15 +151,16 @@ inline Fixture load_fixture(const std::string& name) {
   in >> key >> f.seed_solves;
   in >> key >> f.seed_solved_ops;
   in >> key >> n;
-  f.entries.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::string kind;
+    std::string name;
     TimelineEntry e;
     in >> kind >> e.stream >> e.start >> e.end;
-    std::getline(in, e.name);
-    if (!e.name.empty() && e.name.front() == ' ') e.name.erase(0, 1);
+    std::getline(in, name);
+    if (!name.empty() && name.front() == ' ') name.erase(0, 1);
     e.kind = kind_from_string(kind);
-    f.entries.push_back(std::move(e));
+    e.name = f.timeline.intern(name);
+    f.timeline.record(e);
   }
   if (!in) throw Error("truncated fixture " + fixture_path(name));
   return f;

@@ -108,7 +108,8 @@ TEST_F(BatchRuntimeTest, BatchedRunMatchesPerCallStructureAndBytes) {
   ASSERT_EQ(pc.size(), ba.size());
   for (std::size_t i = 0; i < pc.size(); ++i) {
     EXPECT_EQ(ba[i].kind, pc[i].kind) << i;
-    EXPECT_EQ(ba[i].name, pc[i].name) << i;
+    EXPECT_EQ(batched.timeline().name(ba[i]), per_call.timeline().name(pc[i]))
+        << i;
     EXPECT_EQ(ba[i].stream, pc[i].stream) << i;
   }
   EXPECT_LE(batched.timeline().makespan(),
@@ -158,14 +159,14 @@ TEST_F(BatchRuntimeTest, GraphReplayModesAgreeOnStructureAndBytes) {
       double makespan;
       double faulted;
       std::vector<std::string> kernels;
-      std::vector<TimelineEntry> entries;
+      Timeline timeline;
     } r;
     r.makespan = rt.timeline().makespan();
     r.faulted = rt.bytes_faulted();
     for (const auto& e : rt.timeline().entries()) {
-      if (e.kind == OpKind::Kernel) r.kernels.push_back(e.name);
-      r.entries.push_back(e);
+      if (e.kind == OpKind::Kernel) r.kernels.push_back(rt.timeline().name(e));
     }
+    r.timeline = rt.timeline();
     return r;
   };
   const auto batched = run_graph(TaskGraph::Replay::Batched);
@@ -176,9 +177,9 @@ TEST_F(BatchRuntimeTest, GraphReplayModesAgreeOnStructureAndBytes) {
   EXPECT_LE(batched.makespan, per_call.makespan + 1e-9);
   // Dependencies still hold under batched replay.
   TimeUs root_end = 0, join_start = 0;
-  for (const auto& e : batched.entries) {
-    if (e.name == "root") root_end = e.end;
-    if (e.name == "join") join_start = e.start;
+  for (const auto& e : batched.timeline.entries()) {
+    if (batched.timeline.name(e) == "root") root_end = e.end;
+    if (batched.timeline.name(e) == "join") join_start = e.start;
   }
   EXPECT_GE(join_start, root_end);
 }

@@ -179,8 +179,9 @@ TEST(Eviction, WritebacksRideTheD2hDmaClassAndGateTheFaultingOp) {
   const TimelineEntry* evict = nullptr;
   const TimelineEntry* fault = nullptr;
   for (const TimelineEntry& e : rt.timeline().entries()) {
-    if (e.kind == OpKind::CopyD2H && e.name == "evict:victim") evict = &e;
-    if (e.kind == OpKind::Fault && e.name == "fault:incoming") fault = &e;
+    const std::string& name = rt.timeline().name(e);
+    if (e.kind == OpKind::CopyD2H && name == "evict:victim") evict = &e;
+    if (e.kind == OpKind::Fault && name == "fault:incoming") fault = &e;
   }
   ASSERT_NE(evict, nullptr);
   ASSERT_NE(fault, nullptr);
@@ -241,8 +242,9 @@ TEST(Eviction, RefaultWaitsForTheInFlightWriteback) {
   const TimelineEntry* evict = nullptr;
   const TimelineEntry* fault = nullptr;
   for (const TimelineEntry& e : rt.timeline().entries()) {
-    if (e.kind == OpKind::CopyD2H && e.name == "evict:a") evict = &e;
-    if (e.kind == OpKind::Fault && e.name == "fault:a") fault = &e;
+    const std::string& name = rt.timeline().name(e);
+    if (e.kind == OpKind::CopyD2H && name == "evict:a") evict = &e;
+    if (e.kind == OpKind::Fault && name == "fault:a") fault = &e;
   }
   ASSERT_NE(evict, nullptr);
   ASSERT_NE(fault, nullptr);
@@ -328,23 +330,27 @@ TEST(Eviction, UnderCapacityWorkloadsAreBitIdenticalToUnpagedRuns) {
     rt.synchronize_device();
     rt.host_read(y);
     struct Result {
-      std::vector<TimelineEntry> entries;
+      Timeline timeline;
       std::size_t evicted;
       TimeUs now;
     };
-    return Result{rt.timeline().entries(), rt.bytes_evicted(), rt.now()};
+    return Result{rt.timeline(), rt.bytes_evicted(), rt.now()};
   };
   const auto exact = run(8000);
   const auto huge = run(1u << 30);
   EXPECT_EQ(exact.evicted, 0u);
   EXPECT_EQ(huge.evicted, 0u);
   EXPECT_EQ(exact.now, huge.now);
-  ASSERT_EQ(exact.entries.size(), huge.entries.size());
-  for (std::size_t i = 0; i < exact.entries.size(); ++i) {
-    EXPECT_EQ(exact.entries[i].name, huge.entries[i].name) << i;
-    EXPECT_EQ(exact.entries[i].kind, huge.entries[i].kind) << i;
-    EXPECT_EQ(exact.entries[i].start, huge.entries[i].start) << i;
-    EXPECT_EQ(exact.entries[i].end, huge.entries[i].end) << i;
+  const auto& exact_entries = exact.timeline.entries();
+  const auto& huge_entries = huge.timeline.entries();
+  ASSERT_EQ(exact_entries.size(), huge_entries.size());
+  for (std::size_t i = 0; i < exact_entries.size(); ++i) {
+    EXPECT_EQ(exact.timeline.name(exact_entries[i]),
+              huge.timeline.name(huge_entries[i]))
+        << i;
+    EXPECT_EQ(exact_entries[i].kind, huge_entries[i].kind) << i;
+    EXPECT_EQ(exact_entries[i].start, huge_entries[i].start) << i;
+    EXPECT_EQ(exact_entries[i].end, huge_entries[i].end) << i;
   }
 }
 

@@ -37,16 +37,19 @@ void expect_time_eq(TimeUs got, TimeUs want, const std::string& what) {
 void compare(const GoldenRun& run, const Fixture& fix,
              const std::string& name) {
   expect_time_eq(run.makespan, fix.makespan, name + ": makespan");
-  ASSERT_EQ(run.entries.size(), fix.entries.size())
+  const auto& got_entries = run.timeline.entries();
+  const auto& want_entries = fix.timeline.entries();
+  ASSERT_EQ(got_entries.size(), want_entries.size())
       << name << ": timeline length diverged";
-  for (std::size_t i = 0; i < fix.entries.size(); ++i) {
-    const TimelineEntry& got = run.entries[i];
-    const TimelineEntry& want = fix.entries[i];
+  for (std::size_t i = 0; i < want_entries.size(); ++i) {
+    const TimelineEntry& got = got_entries[i];
+    const TimelineEntry& want = want_entries[i];
+    const std::string& want_name = fix.timeline.name(want);
     const std::string what =
-        name + ": entry " + std::to_string(i) + " (" + want.name + ")";
+        name + ": entry " + std::to_string(i) + " (" + want_name + ")";
     EXPECT_EQ(got.kind, want.kind) << what;
     EXPECT_EQ(got.stream, want.stream) << what;
-    EXPECT_EQ(got.name, want.name) << what;
+    EXPECT_EQ(run.timeline.name(got), want_name) << what;
     expect_time_eq(got.start, want.start, what + " start");
     expect_time_eq(got.end, want.end, what + " end");
   }
@@ -93,18 +96,19 @@ TEST(GoldenEquivalence, SingleTenantFastPathBitIdentical) {
   eng.set_tenant_weight(0, 7.0);
   eng.set_tenant_weight(5, 0.25);
   build_contention_dag(eng, 1000, 16);
-  GoldenRun run;
-  run.makespan = eng.run_all();
-  run.entries = eng.timeline().entries();
+  const TimeUs makespan = eng.run_all();
+  const auto& entries = eng.timeline().entries();
+  const auto& base_entries = base.timeline.entries();
 
-  EXPECT_EQ(run.makespan, base.makespan);  // exact, not approximate
-  ASSERT_EQ(run.entries.size(), base.entries.size());
-  for (std::size_t i = 0; i < base.entries.size(); ++i) {
-    const TimelineEntry& got = run.entries[i];
-    const TimelineEntry& want = base.entries[i];
+  EXPECT_EQ(makespan, base.makespan);  // exact, not approximate
+  ASSERT_EQ(entries.size(), base_entries.size());
+  for (std::size_t i = 0; i < base_entries.size(); ++i) {
+    const TimelineEntry& got = entries[i];
+    const TimelineEntry& want = base_entries[i];
     ASSERT_EQ(got.kind, want.kind) << "entry " << i;
     ASSERT_EQ(got.stream, want.stream) << "entry " << i;
-    ASSERT_EQ(got.name, want.name) << "entry " << i;
+    ASSERT_EQ(eng.timeline().name(got), base.timeline.name(want))
+        << "entry " << i;
     ASSERT_EQ(got.start, want.start) << "entry " << i;  // bit-identical
     ASSERT_EQ(got.end, want.end) << "entry " << i;
   }
@@ -138,14 +142,16 @@ TEST(GoldenEquivalence, QueueSingleProducerBitIdentical) {
   rt.synchronize_device();
 
   const auto& entries = rt.timeline().entries();
+  const auto& base_entries = base.timeline.entries();
   EXPECT_EQ(rt.timeline().makespan(), base.makespan);  // exact
-  ASSERT_EQ(entries.size(), base.entries.size());
-  for (std::size_t i = 0; i < base.entries.size(); ++i) {
+  ASSERT_EQ(entries.size(), base_entries.size());
+  for (std::size_t i = 0; i < base_entries.size(); ++i) {
     const TimelineEntry& got = entries[i];
-    const TimelineEntry& want = base.entries[i];
+    const TimelineEntry& want = base_entries[i];
     ASSERT_EQ(got.kind, want.kind) << "entry " << i;
     ASSERT_EQ(got.stream, want.stream) << "entry " << i;
-    ASSERT_EQ(got.name, want.name) << "entry " << i;
+    ASSERT_EQ(rt.timeline().name(got), base.timeline.name(want))
+        << "entry " << i;
     ASSERT_EQ(got.start, want.start) << "entry " << i;  // bit-identical
     ASSERT_EQ(got.end, want.end) << "entry " << i;
   }
@@ -187,8 +193,8 @@ TEST(GoldenFixtures, DISABLED_Regenerate) {
   for (const auto& [name, run] : run_all_scenarios()) {
     write_fixture(name, run);
     std::printf("wrote %s: %zu entries, makespan %.6f, solves %ld/%ld\n",
-                name.c_str(), run.entries.size(), run.makespan, run.solves,
-                run.solved_ops);
+                name.c_str(), run.timeline.entries().size(), run.makespan,
+                run.solves, run.solved_ops);
   }
 }
 

@@ -45,7 +45,6 @@ Op raw_kernel(GpuRuntime& rt, StreamId stream, const std::string& name,
   op.kind = OpKind::Kernel;
   op.stream = stream;
   op.name = name;
-  op.cfg = cfg;
   op.prof = prof;
   op.sm_demand = d.sm_demand;
   op.occupancy = d.occupancy;
@@ -65,7 +64,7 @@ std::map<StreamId, std::vector<Entry>> kernel_projection(GpuRuntime& rt) {
   std::map<StreamId, std::vector<Entry>> out;
   for (const auto& e : rt.timeline().entries()) {
     if (e.kind != OpKind::Kernel) continue;
-    out[e.stream].push_back({e.name, e.start, e.end});
+    out[e.stream].push_back({rt.timeline().name(e), e.start, e.end});
   }
   return out;
 }
@@ -171,7 +170,8 @@ TEST(IngestQueueTest, SingleProducerTaskPathBitIdenticalToDirectBatch) {
   ASSERT_EQ(de.size(), qe.size());
   for (std::size_t i = 0; i < de.size(); ++i) {
     EXPECT_EQ(qe[i].kind, de[i].kind) << i;
-    EXPECT_EQ(qe[i].name, de[i].name) << i;
+    EXPECT_EQ(queued.timeline().name(qe[i]), direct.timeline().name(de[i]))
+        << i;
     EXPECT_EQ(qe[i].stream, de[i].stream) << i;
     EXPECT_DOUBLE_EQ(qe[i].start, de[i].start) << i;
     EXPECT_DOUBLE_EQ(qe[i].end, de[i].end) << i;
@@ -231,7 +231,8 @@ TEST(IngestQueueTest, MonotoneClampDeterministicAcrossShuffledOrders) {
     const auto& qe = queued.timeline().entries();
     ASSERT_EQ(de.size(), qe.size()) << "seed " << seed;
     for (std::size_t i = 0; i < de.size(); ++i) {
-      EXPECT_EQ(qe[i].name, de[i].name) << "seed " << seed << " entry " << i;
+      EXPECT_EQ(queued.timeline().name(qe[i]), direct.timeline().name(de[i]))
+          << "seed " << seed << " entry " << i;
       EXPECT_DOUBLE_EQ(qe[i].start, de[i].start)
           << "seed " << seed << " entry " << i;
       EXPECT_DOUBLE_EQ(qe[i].end, de[i].end)

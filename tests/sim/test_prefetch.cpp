@@ -81,11 +81,12 @@ void expect_identical_timelines(GpuRuntime& got, GpuRuntime& want) {
   const auto& we = want.timeline().entries();
   ASSERT_EQ(ge.size(), we.size()) << "timeline length diverged";
   for (std::size_t i = 0; i < we.size(); ++i) {
-    const std::string what = "entry " + std::to_string(i) + " (" +
-                             we[i].name + ")";
+    const std::string& want_name = want.timeline().name(we[i]);
+    const std::string what =
+        "entry " + std::to_string(i) + " (" + want_name + ")";
     EXPECT_EQ(ge[i].kind, we[i].kind) << what;
     EXPECT_EQ(ge[i].stream, we[i].stream) << what;
-    EXPECT_EQ(ge[i].name, we[i].name) << what;
+    EXPECT_EQ(got.timeline().name(ge[i]), want_name) << what;
     EXPECT_DOUBLE_EQ(ge[i].start, we[i].start) << what;
     EXPECT_DOUBLE_EQ(ge[i].end, we[i].end) << what;
   }
@@ -95,7 +96,8 @@ void expect_identical_timelines(GpuRuntime& got, GpuRuntime& want) {
 std::vector<std::string> evict_op_names(GpuRuntime& rt) {
   std::vector<std::string> names;
   for (const auto& e : rt.timeline().entries()) {
-    if (e.name.rfind("evict:", 0) == 0) names.push_back(e.name);
+    const std::string& name = rt.timeline().name(e);
+    if (name.rfind("evict:", 0) == 0) names.push_back(name);
   }
   return names;
 }
@@ -298,6 +300,41 @@ TEST(PrefetchIngestDeterminism, ScheduleInvariantAcrossProducerTimings) {
     expect_identical_timelines(runs[i].rig->rt, runs[0].rig->rt);
   }
   EXPECT_GT(runs[0].prefetch_ops, 0);
+}
+
+// ---------------------------------------------------------------------
+// prefetch_overlap_fraction counts prefetch *transfers* only: the name
+// prefix alone does not make an op a prefetch.
+// ---------------------------------------------------------------------
+
+TEST(PrefetchOverlap, KernelNamedLikeAPrefetchIsNotCounted) {
+  GpuRuntime rt(DeviceSpec::test_device());
+  LaunchSpec k;
+  k.name = "prefetch:impostor";
+  k.config = LaunchConfig::linear(16, 128);
+  k.profile.flops_sp = 1e6;
+  rt.launch(kDefaultStream, k);
+  rt.synchronize_device();
+  ASSERT_EQ(rt.timeline().entries().size(), 1u);
+  // Counted as a transfer, the kernel would overlap its own kernel cover
+  // and read 1.0.
+  EXPECT_EQ(rt.prefetch_overlap_fraction(), 0.0);
+}
+
+TEST(PrefetchOverlap, PlannerPrefetchesAreCounted) {
+  Rig rig(8 * kMiB, 4, 3 * kMiB);  // 1.5x oversubscribed: the planner runs
+  rig.rt.announce_frontier(rig.cyclic_frontier(2));
+  for (int r = 0; r < 2; ++r) {
+    for (const ArrayId a : rig.arrays) {
+      LaunchSpec k = touch_kernel(a);
+      k.profile.flops_sp = 1e9;  // long kernels: prefetches run beneath
+      rig.rt.launch(kDefaultStream, k);
+    }
+  }
+  rig.rt.synchronize_device();
+  rig.rt.clear_frontier();
+  ASSERT_GT(rig.rt.prefetch_ops(), 0);
+  EXPECT_GT(rig.rt.prefetch_overlap_fraction(), 0.0);
 }
 
 }  // namespace

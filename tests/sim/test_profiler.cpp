@@ -5,18 +5,22 @@
 namespace psched::sim {
 namespace {
 
-TimelineEntry kernel_entry(TimeUs start, TimeUs end, double dram, double l2,
-                           double instr, double flops_sp) {
+/// Record one kernel entry on `t` with the given counters.
+void record_kernel(Timeline& t, TimeUs start, TimeUs end, double dram,
+                   double l2, double instr, double flops_sp,
+                   double flops_dp = 0) {
   TimelineEntry e;
   e.kind = OpKind::Kernel;
   e.stream = 0;
   e.start = start;
   e.end = end;
-  e.prof.dram_bytes = dram;
-  e.prof.l2_bytes = l2;
-  e.prof.instructions = instr;
-  e.prof.flops_sp = flops_sp;
-  return e;
+  KernelProfile prof;
+  prof.dram_bytes = dram;
+  prof.l2_bytes = l2;
+  prof.instructions = instr;
+  prof.flops_sp = flops_sp;
+  prof.flops_dp = flops_dp;
+  t.record(e, prof);
 }
 
 TEST(Profiler, EmptyTimeline) {
@@ -29,7 +33,7 @@ TEST(Profiler, EmptyTimeline) {
 TEST(Profiler, ThroughputIsBytesOverMakespan) {
   Timeline t;
   // 1e6 bytes over a 100us makespan = 1e6 / 1e-4s = 1e10 B/s = 10 GB/s.
-  t.record(kernel_entry(0, 100, 1e6, 2e6, 0, 0));
+  record_kernel(t, 0, 100, 1e6, 2e6, 0, 0);
   const HwMetrics m = Profiler::compute(t, DeviceSpec::test_device());
   EXPECT_NEAR(m.dram_gbps, 10.0, 1e-9);
   EXPECT_NEAR(m.l2_gbps, 20.0, 1e-9);
@@ -38,9 +42,7 @@ TEST(Profiler, ThroughputIsBytesOverMakespan) {
 
 TEST(Profiler, GflopsCountsBothPrecisions) {
   Timeline t;
-  TimelineEntry e = kernel_entry(0, 1000, 0, 0, 0, 3e6);
-  e.prof.flops_dp = 1e6;
-  t.record(e);
+  record_kernel(t, 0, 1000, 0, 0, 0, 3e6, /*flops_dp=*/1e6);
   // 4e6 flops over 1000us = 4e6 / 1e-3 s = 4e9 flop/s = 4 GFLOPS.
   const HwMetrics m = Profiler::compute(t, DeviceSpec::test_device());
   EXPECT_NEAR(m.gflops, 4.0, 1e-9);
@@ -51,7 +53,7 @@ TEST(Profiler, IpcNormalizedPerSm) {
   // Test device: 4 SMs @ 1 GHz. 100us -> 1e5 cycles; 4e5 * 32 per-thread
   // instructions = 4e5 warp instructions over 4 SMs -> warp IPC 1.0
   // (nvprof semantics: one issued instruction covers a 32-thread warp).
-  t.record(kernel_entry(0, 100, 0, 0, 4e5 * 32, 0));
+  record_kernel(t, 0, 100, 0, 0, 4e5 * 32, 0);
   const HwMetrics m = Profiler::compute(t, DeviceSpec::test_device());
   EXPECT_NEAR(m.ipc, 1.0, 1e-9);
 }
@@ -60,10 +62,10 @@ TEST(Profiler, ShorterMakespanRaisesThroughput) {
   // The parallel-scheduling effect of Fig. 12: same counters, smaller
   // makespan, higher observed utilization.
   Timeline serial, parallel;
-  serial.record(kernel_entry(0, 50, 1e6, 0, 0, 0));
-  serial.record(kernel_entry(50, 100, 1e6, 0, 0, 0));
-  parallel.record(kernel_entry(0, 60, 1e6, 0, 0, 0));
-  parallel.record(kernel_entry(0, 60, 1e6, 0, 0, 0));
+  record_kernel(serial, 0, 50, 1e6, 0, 0, 0);
+  record_kernel(serial, 50, 100, 1e6, 0, 0, 0);
+  record_kernel(parallel, 0, 60, 1e6, 0, 0, 0);
+  record_kernel(parallel, 0, 60, 1e6, 0, 0, 0);
   const auto spec = DeviceSpec::test_device();
   const HwMetrics ms = Profiler::compute(serial, spec);
   const HwMetrics mp = Profiler::compute(parallel, spec);
@@ -73,7 +75,7 @@ TEST(Profiler, ShorterMakespanRaisesThroughput) {
 
 TEST(Profiler, TransfersDoNotContributeCounters) {
   Timeline t;
-  t.record(kernel_entry(0, 100, 1e6, 0, 0, 0));
+  record_kernel(t, 0, 100, 1e6, 0, 0, 0);
   TimelineEntry copy;
   copy.kind = OpKind::CopyH2D;
   copy.start = 0;

@@ -126,7 +126,7 @@ TEST_F(RuntimeTest, CrossStreamMigrationOrdersSecondKernel) {
       ++migrations;
       mig_end = e.end;
     }
-    if (e.name == "k2") k2_start = e.start;
+    if (rt_.timeline().name(e) == "k2") k2_start = e.start;
   }
   EXPECT_EQ(migrations, 1);
   EXPECT_GE(k2_start, mig_end);

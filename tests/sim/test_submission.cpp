@@ -30,13 +30,12 @@ void expect_identical(const Timeline& got, const Timeline& want) {
     EXPECT_EQ(a[i].kind, b[i].kind) << "entry " << i;
     EXPECT_EQ(a[i].stream, b[i].stream) << "entry " << i;
     EXPECT_EQ(a[i].device, b[i].device) << "entry " << i;
-    EXPECT_EQ(a[i].name, b[i].name) << "entry " << i;
+    const std::string& name = got.name(a[i]);
+    EXPECT_EQ(name, want.name(b[i])) << "entry " << i;
     // Bit-identical, not merely within tolerance: both paths must execute
     // the same arithmetic in the same order.
-    EXPECT_EQ(a[i].start, b[i].start) << "entry " << i << " (" << a[i].name
-                                      << ")";
-    EXPECT_EQ(a[i].end, b[i].end) << "entry " << i << " (" << a[i].name
-                                  << ")";
+    EXPECT_EQ(a[i].start, b[i].start) << "entry " << i << " (" << name << ")";
+    EXPECT_EQ(a[i].end, b[i].end) << "entry " << i << " (" << name << ")";
   }
 }
 

@@ -8,15 +8,21 @@
 namespace psched::sim {
 namespace {
 
-TimelineEntry entry(OpKind kind, StreamId stream, TimeUs start, TimeUs end,
-                    const std::string& name = "op") {
+TimelineEntry entry(OpKind kind, StreamId stream, TimeUs start, TimeUs end) {
   TimelineEntry e;
   e.kind = kind;
   e.stream = stream;
   e.start = start;
   e.end = end;
-  e.name = name;
   return e;
+}
+
+/// Record one entry on `t` under `name` (interned into t's name table).
+void add(Timeline& t, OpKind kind, StreamId stream, TimeUs start, TimeUs end,
+         const std::string& name = "op") {
+  TimelineEntry e = entry(kind, stream, start, end);
+  e.name = t.intern(name);
+  t.record(e);
 }
 
 // Reference for overlap_metrics(): the direct per-entry reading of
@@ -116,9 +122,9 @@ TEST(Timeline, EmptyDefaults) {
 
 TEST(Timeline, MakespanSpansFirstToLast) {
   Timeline t;
-  t.record(entry(OpKind::Kernel, 0, 10, 20));
-  t.record(entry(OpKind::CopyH2D, 1, 5, 8));
-  t.record(entry(OpKind::Kernel, 1, 30, 45));
+  add(t, OpKind::Kernel, 0, 10, 20);
+  add(t, OpKind::CopyH2D, 1, 5, 8);
+  add(t, OpKind::Kernel, 1, 30, 45);
   EXPECT_DOUBLE_EQ(t.begin_time(), 5);
   EXPECT_DOUBLE_EQ(t.end_time(), 45);
   EXPECT_DOUBLE_EQ(t.makespan(), 40);
@@ -126,26 +132,26 @@ TEST(Timeline, MakespanSpansFirstToLast) {
 
 TEST(Timeline, MarkersAndHostSpansExcludedFromMakespan) {
   Timeline t;
-  t.record(entry(OpKind::Kernel, 0, 10, 20));
-  t.record(entry(OpKind::Host, 0, 0, 100));
-  t.record(entry(OpKind::Marker, 0, 0, 200));
+  add(t, OpKind::Kernel, 0, 10, 20);
+  add(t, OpKind::Host, 0, 0, 100);
+  add(t, OpKind::Marker, 0, 0, 200);
   EXPECT_DOUBLE_EQ(t.makespan(), 10);
 }
 
 TEST(Timeline, TotalsByCategory) {
   Timeline t;
-  t.record(entry(OpKind::Kernel, 0, 0, 10));
-  t.record(entry(OpKind::Kernel, 1, 10, 15));
-  t.record(entry(OpKind::CopyH2D, 0, 0, 4));
-  t.record(entry(OpKind::Fault, 1, 4, 6));
+  add(t, OpKind::Kernel, 0, 0, 10);
+  add(t, OpKind::Kernel, 1, 10, 15);
+  add(t, OpKind::CopyH2D, 0, 0, 4);
+  add(t, OpKind::Fault, 1, 4, 6);
   EXPECT_DOUBLE_EQ(t.total_kernel_time(), 15);
   EXPECT_DOUBLE_EQ(t.total_transfer_time(), 6);
 }
 
 TEST(Timeline, OverlapKernelWithTransfer) {
   Timeline t;
-  t.record(entry(OpKind::Kernel, 0, 0, 10));
-  t.record(entry(OpKind::CopyH2D, 1, 5, 15));
+  add(t, OpKind::Kernel, 0, 0, 10);
+  add(t, OpKind::CopyH2D, 1, 5, 15);
   const OverlapMetrics m = t.overlap_metrics();
   EXPECT_DOUBLE_EQ(m.ct, 0.5);   // 5 of 10 kernel us under transfer
   EXPECT_DOUBLE_EQ(m.tc, 0.5);   // 5 of 10 transfer us under kernel
@@ -155,8 +161,8 @@ TEST(Timeline, OverlapKernelWithTransfer) {
 
 TEST(Timeline, OverlapTwoIdenticalKernels) {
   Timeline t;
-  t.record(entry(OpKind::Kernel, 0, 0, 10));
-  t.record(entry(OpKind::Kernel, 1, 0, 10));
+  add(t, OpKind::Kernel, 0, 0, 10);
+  add(t, OpKind::Kernel, 1, 0, 10);
   const OverlapMetrics m = t.overlap_metrics();
   EXPECT_DOUBLE_EQ(m.cc, 1.0);
   EXPECT_DOUBLE_EQ(m.ct, 0.0);
@@ -167,13 +173,13 @@ TEST(Timeline, OverlapSerialScheduleIsZero) {
   // Half-open intervals: ops that only meet at endpoints do not overlap,
   // nor do a zero-length kernel and a Host span sitting on the seams.
   Timeline t;
-  t.record(entry(OpKind::CopyH2D, 0, 0, 5));
-  t.record(entry(OpKind::Kernel, 0, 5, 15));
-  t.record(entry(OpKind::CopyD2H, 0, 15, 20));
-  t.record(entry(OpKind::CopyP2P, 1, 20, 30));
-  t.record(entry(OpKind::Fault, 2, 30, 40));
-  t.record(entry(OpKind::Kernel, 3, 15, 15));
-  t.record(entry(OpKind::Host, 4, 0, 40));
+  add(t, OpKind::CopyH2D, 0, 0, 5);
+  add(t, OpKind::Kernel, 0, 5, 15);
+  add(t, OpKind::CopyD2H, 0, 15, 20);
+  add(t, OpKind::CopyP2P, 1, 20, 30);
+  add(t, OpKind::Fault, 2, 30, 40);
+  add(t, OpKind::Kernel, 3, 15, 15);
+  add(t, OpKind::Host, 4, 0, 40);
   const OverlapMetrics m = t.overlap_metrics();
   EXPECT_DOUBLE_EQ(m.ct, 0);
   EXPECT_DOUBLE_EQ(m.tc, 0);
@@ -185,9 +191,9 @@ TEST(Timeline, OverlapCountedOnceInTot) {
   // One kernel overlapped by two transfers simultaneously: the union of
   // overlap intervals counts once (section V-F).
   Timeline t;
-  t.record(entry(OpKind::Kernel, 0, 0, 10));
-  t.record(entry(OpKind::CopyH2D, 1, 0, 10));
-  t.record(entry(OpKind::CopyH2D, 2, 0, 10));
+  add(t, OpKind::Kernel, 0, 0, 10);
+  add(t, OpKind::CopyH2D, 1, 0, 10);
+  add(t, OpKind::CopyH2D, 2, 0, 10);
   const OverlapMetrics m = t.overlap_metrics();
   EXPECT_DOUBLE_EQ(m.ct, 1.0);
   EXPECT_DOUBLE_EQ(m.tot, 1.0);  // not > 1 despite double coverage
@@ -195,10 +201,10 @@ TEST(Timeline, OverlapCountedOnceInTot) {
 
 TEST(Timeline, MetricsBounded) {
   Timeline t;
-  t.record(entry(OpKind::Kernel, 0, 0, 7));
-  t.record(entry(OpKind::Kernel, 1, 3, 12));
-  t.record(entry(OpKind::Fault, 2, 1, 4));
-  t.record(entry(OpKind::CopyD2H, 0, 8, 14));
+  add(t, OpKind::Kernel, 0, 0, 7);
+  add(t, OpKind::Kernel, 1, 3, 12);
+  add(t, OpKind::Fault, 2, 1, 4);
+  add(t, OpKind::CopyD2H, 0, 8, 14);
   const OverlapMetrics m = t.overlap_metrics();
   for (double v : {m.ct, m.tc, m.cc, m.tot}) {
     EXPECT_GE(v, 0.0);
@@ -210,16 +216,16 @@ TEST(Timeline, MetricsBounded) {
 
 TEST(Timeline, KernelProfileAggregation) {
   Timeline t;
-  TimelineEntry a = entry(OpKind::Kernel, 0, 0, 10);
-  a.prof.flops_sp = 100;
-  a.prof.dram_bytes = 50;
-  TimelineEntry b = entry(OpKind::Kernel, 0, 10, 20);
-  b.prof.flops_dp = 40;
-  b.prof.dram_bytes = 30;
-  b.prof.l2_bytes = 7;
-  b.prof.instructions = 9;
-  t.record(a);
-  t.record(b);
+  KernelProfile a;
+  a.flops_sp = 100;
+  a.dram_bytes = 50;
+  KernelProfile b;
+  b.flops_dp = 40;
+  b.dram_bytes = 30;
+  b.l2_bytes = 7;
+  b.instructions = 9;
+  t.record(entry(OpKind::Kernel, 0, 0, 10), a);
+  t.record(entry(OpKind::Kernel, 0, 10, 20), b);
   const KernelProfile p = t.total_kernel_profile();
   EXPECT_DOUBLE_EQ(p.flops_sp, 100);
   EXPECT_DOUBLE_EQ(p.flops_dp, 40);
@@ -231,8 +237,8 @@ TEST(Timeline, KernelProfileAggregation) {
 
 TEST(Timeline, AsciiRenderContainsStreamsAndNames) {
   Timeline t;
-  t.record(entry(OpKind::Kernel, 0, 0, 10, "matmul"));
-  t.record(entry(OpKind::CopyH2D, 1, 0, 5, "x"));
+  add(t, OpKind::Kernel, 0, 0, 10, "matmul");
+  add(t, OpKind::CopyH2D, 1, 0, 5, "x");
   const std::string s = t.render_ascii(40);
   EXPECT_NE(s.find("S0"), std::string::npos);
   EXPECT_NE(s.find("S1"), std::string::npos);
@@ -242,7 +248,7 @@ TEST(Timeline, AsciiRenderContainsStreamsAndNames) {
 
 TEST(Timeline, AsciiRenderRejectsNonPositiveWidth) {
   Timeline t;
-  t.record(entry(OpKind::Kernel, 0, 0, 10, "k"));
+  add(t, OpKind::Kernel, 0, 0, 10, "k");
   EXPECT_THROW((void)t.render_ascii(0), ApiError);
   EXPECT_THROW((void)t.render_ascii(-3), ApiError);
   EXPECT_NE(t.render_ascii(1).find("S0 |k|"), std::string::npos);
@@ -285,8 +291,8 @@ TEST(Timeline, OverlapIgnoresMarkersHostSpansAndZeroLengthOps) {
 
 TEST(Timeline, CoverMergesAdjacentOps) {
   Timeline t;
-  t.record(entry(OpKind::Kernel, 0, 0, 10));
-  t.record(entry(OpKind::Kernel, 0, 10, 20));
+  add(t, OpKind::Kernel, 0, 0, 10);
+  add(t, OpKind::Kernel, 0, 10, 20);
   const IntervalSet k = t.kernel_cover();
   ASSERT_EQ(k.size(), 1u);
   EXPECT_DOUBLE_EQ(k.measure(), 20);

@@ -31,18 +31,20 @@ void expect_time_eq(TimeUs got, TimeUs want, const std::string& what) {
   EXPECT_NEAR(got, want, tol) << what;
 }
 
-void compare_timelines(const std::vector<TimelineEntry>& inc,
-                       const std::vector<TimelineEntry>& leg,
+void compare_timelines(const Timeline& inc_tl, const Timeline& leg_tl,
                        const std::string& name) {
+  const auto& inc = inc_tl.entries();
+  const auto& leg = leg_tl.entries();
   ASSERT_EQ(inc.size(), leg.size()) << name << ": timeline length diverged";
   for (std::size_t i = 0; i < leg.size(); ++i) {
     const TimelineEntry& got = inc[i];
     const TimelineEntry& want = leg[i];
+    const std::string& want_name = leg_tl.name(want);
     const std::string what =
-        name + ": entry " + std::to_string(i) + " (" + want.name + ")";
+        name + ": entry " + std::to_string(i) + " (" + want_name + ")";
     ASSERT_EQ(got.kind, want.kind) << what;
     ASSERT_EQ(got.stream, want.stream) << what;
-    ASSERT_EQ(got.name, want.name) << what;
+    ASSERT_EQ(inc_tl.name(got), want_name) << what;
     expect_time_eq(got.start, want.start, what + " start");
     expect_time_eq(got.end, want.end, what + " end");
   }
@@ -51,8 +53,7 @@ void compare_timelines(const std::vector<TimelineEntry>& inc,
 /// One seeded churn run: every random draw is made from the same
 /// deterministic sequence regardless of solver path, so both runs see
 /// the identical op stream.
-std::vector<TimelineEntry> run_churn(Engine::SolverPath path,
-                                     unsigned seed) {
+Timeline run_churn(Engine::SolverPath path, unsigned seed) {
   std::mt19937 rng(seed);
   Machine machine = Machine::uniform(DeviceSpec::test_device(), 2,
                                      /*nvlink_all_pairs=*/true);
@@ -103,7 +104,7 @@ std::vector<TimelineEntry> run_churn(Engine::SolverPath path,
     }
   }
   eng.run_all();
-  return eng.timeline().entries();
+  return eng.timeline();
 }
 
 TEST(SolverChurn, RandomJoinLeaveSchedulesIdentical) {
@@ -164,7 +165,7 @@ TEST(SolverChurn, WeightChangeMatchesLegacyPath) {
     eng.set_tenant_weight(1, 1.0);
     eng.set_tenant_weight(3, 0.5);
     eng.run_all();
-    return eng.timeline().entries();
+    return eng.timeline();
   };
   compare_timelines(run(Engine::SolverPath::Incremental),
                     run(Engine::SolverPath::Legacy), "weight_change");

@@ -37,16 +37,19 @@ void expect_time_eq(TimeUs got, TimeUs want, const std::string& what) {
 void compare_runs(const GoldenRun& inc, const GoldenRun& leg,
                   const std::string& name) {
   expect_time_eq(inc.makespan, leg.makespan, name + ": makespan");
-  ASSERT_EQ(inc.entries.size(), leg.entries.size())
+  const auto& inc_entries = inc.timeline.entries();
+  const auto& leg_entries = leg.timeline.entries();
+  ASSERT_EQ(inc_entries.size(), leg_entries.size())
       << name << ": timeline length diverged between solver paths";
-  for (std::size_t i = 0; i < leg.entries.size(); ++i) {
-    const TimelineEntry& got = inc.entries[i];
-    const TimelineEntry& want = leg.entries[i];
+  for (std::size_t i = 0; i < leg_entries.size(); ++i) {
+    const TimelineEntry& got = inc_entries[i];
+    const TimelineEntry& want = leg_entries[i];
+    const std::string& want_name = leg.timeline.name(want);
     const std::string what =
-        name + ": entry " + std::to_string(i) + " (" + want.name + ")";
+        name + ": entry " + std::to_string(i) + " (" + want_name + ")";
     EXPECT_EQ(got.kind, want.kind) << what;
     EXPECT_EQ(got.stream, want.stream) << what;
-    EXPECT_EQ(got.name, want.name) << what;
+    EXPECT_EQ(inc.timeline.name(got), want_name) << what;
     expect_time_eq(got.start, want.start, what + " start");
     expect_time_eq(got.end, want.end, what + " end");
   }
@@ -88,7 +91,7 @@ GoldenRun run_multi_gpu_scenario() {
   build_multi_device_contention_dag(eng, 2000, 32);
   GoldenRun r;
   r.makespan = eng.run_all();
-  r.entries = eng.timeline().entries();
+  r.timeline = eng.timeline();
   r.solves = eng.solve_count();
   r.solved_ops = eng.solved_ops();
   return r;
@@ -128,7 +131,7 @@ GoldenRun run_tenant_scenario() {
   eng.set_tenant_weight(2, 5.0);  // mid-flight re-pricing
   GoldenRun r;
   r.makespan = eng.run_all();
-  r.entries = eng.timeline().entries();
+  r.timeline = eng.timeline();
   r.solves = eng.solve_count();
   r.solved_ops = eng.solved_ops();
   return r;
@@ -146,7 +149,7 @@ GoldenRun run_batched_ingest_scenario() {
   eng.commit_transaction();
   GoldenRun r;
   r.makespan = eng.run_all();
-  r.entries = eng.timeline().entries();
+  r.timeline = eng.timeline();
   r.solves = eng.solve_count();
   r.solved_ops = eng.solved_ops();
   return r;
@@ -182,7 +185,7 @@ TEST(SolverEquivalence, MidRunPathSwitchPreservesSchedule) {
   eng.set_solver_path(Engine::SolverPath::Legacy);
   GoldenRun run;
   run.makespan = eng.run_all();
-  run.entries = eng.timeline().entries();
+  run.timeline = eng.timeline();
   compare_runs(run, legacy, "mid_run_switch");
 }
 

@@ -256,23 +256,38 @@ EventId Engine::create_event() {
 }
 
 
-const Engine::OpRecord& Engine::record_of(OpId id, const char* who) const {
+OpLocator Engine::locator(OpId id, const char* who) const {
   if (id < 1 || id >= next_op_id_) {
     throw ApiError(std::string(who) + ": unknown op");
   }
-  return records_[static_cast<std::size_t>(id - 1)];
+  return loc_[static_cast<std::size_t>(id - 1)];
 }
 
-void Engine::check_enqueueable(const Op& op) const {
-  if (op.stream < 0 || static_cast<std::size_t>(op.stream) >= streams_.size()) {
-    throw ApiError("enqueue: invalid stream " + std::to_string(op.stream));
+void Engine::IdRing::push_back(OpId id) {
+  if (size_ == buf_.size()) {
+    // Full: unroll into a buffer twice the size (the first push sizes it).
+    std::vector<OpId> grown(std::max<std::size_t>(16, 2 * buf_.size()));
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+    buf_ = std::move(grown);
+    head_ = 0;
   }
-  if (op.kind == OpKind::CopyP2P) {
-    const DeviceId dev = streams_[static_cast<std::size_t>(op.stream)].device;
-    if (!machine_.valid_device(op.peer)) {
+  buf_[(head_ + size_) & (buf_.size() - 1)] = id;
+  ++size_;
+}
+
+void Engine::check_enqueueable(OpKind kind, StreamId stream,
+                               DeviceId peer) const {
+  if (stream < 0 || static_cast<std::size_t>(stream) >= streams_.size()) {
+    throw ApiError("enqueue: invalid stream " + std::to_string(stream));
+  }
+  if (kind == OpKind::CopyP2P) {
+    const DeviceId dev = streams_[static_cast<std::size_t>(stream)].device;
+    if (!machine_.valid_device(peer)) {
       throw ApiError("enqueue: CopyP2P needs a valid source (peer) device");
     }
-    if (op.peer == dev) {
+    if (peer == dev) {
       throw ApiError("enqueue: CopyP2P source equals destination device " +
                      std::to_string(dev));
     }
@@ -292,8 +307,8 @@ void Engine::check_stream_id(StreamId stream, const char* who) const {
 }
 
 OpId Engine::enqueue(const Op& op, TimeUs host_time) {
-  check_enqueueable(op);
-  return admit_op(op, host_time);
+  check_enqueueable(op.kind, op.stream, op.peer);
+  return admit_op(op, host_time, &op.prof, &op.on_complete);
 }
 
 std::int32_t Engine::admit(OpKind kind, StreamId stream, Timeline::NameId name,
@@ -322,7 +337,7 @@ std::int32_t Engine::admit(OpKind kind, StreamId stream, Timeline::NameId name,
   op.tenant = st.tenant;
   op.name = name;
   op.enqueue_time = host_time;
-  records_.push_back({slot, stream, kind, name, -1, -1});
+  loc_.push_back(OpLocator::live(static_cast<std::size_t>(slot)));
   ++live_ops_;
   peak_resident_ = std::max(peak_resident_, live_ops_);
 
@@ -335,7 +350,10 @@ std::int32_t Engine::admit(OpKind kind, StreamId stream, Timeline::NameId name,
   return slot;
 }
 
-OpId Engine::admit_op(const Op& op, TimeUs host_time) {
+template <typename OpFields>
+OpId Engine::admit_op(const OpFields& op, TimeUs host_time,
+                      const KernelProfile* prof,
+                      const std::function<void()>* on_complete) {
   const std::int32_t slot =
       admit(op.kind, op.stream, timeline_.intern(op.name), host_time);
   OpCore& core = slab_[static_cast<std::size_t>(slot)];
@@ -349,9 +367,18 @@ OpId Engine::admit_op(const Op& op, TimeUs host_time) {
         (op.sm_demand / machine_.device(core.device).sm_count) * op.occupancy;
   }
   OpCold& cold = cold_[static_cast<std::size_t>(slot)];
-  cold.prof = op.prof;
-  if (op.on_complete) cold.on_complete = op.on_complete;
+  if (prof != nullptr) cold.prof = *prof;
+  if (on_complete != nullptr && *on_complete) cold.on_complete = *on_complete;
   return core.id;
+}
+
+OpId Engine::admit_item(const Submission::Item& item,
+                        const std::vector<Submission::Extra>& extras) {
+  if (item.extra < 0) return admit_op(item, item.host_time, nullptr, nullptr);
+  const Submission::Extra& x = extras[static_cast<std::size_t>(item.extra)];
+  const OpId id = admit_op(item, item.host_time, &x.prof, &x.on_complete);
+  if (x.bind) x.bind(*this, id);
+  return id;
 }
 
 OpId Engine::admit_wait_marker(StreamId stream, EventId event,
@@ -376,19 +403,19 @@ void Engine::record_event(EventId event, StreamId stream, TimeUs host_time) {
   } else {
     ev.gate = fifo.back();
     ev.done_at = kTimeInfinity;  // set when the gate op completes
-    const OpRecord& rec = records_[static_cast<std::size_t>(ev.gate - 1)];
-    list_push(cold_[static_cast<std::size_t>(rec.slot)].gates, event);
+    list_push(cold_[static_cast<std::size_t>(live_slot(ev.gate))].gates,
+              event);
   }
   // Re-recording changes what waiting heads observe: re-examine them.
   wake_event_waiters(ev);
 }
 
 void Engine::set_on_complete(OpId op, std::function<void()> fn) {
-  const OpRecord& rec = record_of(op, "set_on_complete");
-  if (rec.slot < 0) {
+  const std::int32_t slot = locator(op, "set_on_complete").slot();
+  if (slot < 0) {
     throw ApiError("set_on_complete: op already completed");
   }
-  cold_[static_cast<std::size_t>(rec.slot)].on_complete = std::move(fn);
+  cold_[static_cast<std::size_t>(slot)].on_complete = std::move(fn);
 }
 
 void Engine::wait_event(StreamId stream, EventId event, TimeUs host_time) {
@@ -399,10 +426,22 @@ void Engine::wait_event(StreamId stream, EventId event, TimeUs host_time) {
 
 void Submission::enqueue(Op op, TimeUs host_time, BindFn bind) {
   Item& item = items_.emplace_back();
-  item.kind = ItemKind::Enqueue;
-  item.op = std::move(op);
-  item.bind = std::move(bind);
+  item.type = ItemKind::Enqueue;
+  item.name = std::move(op.name);
   item.host_time = host_time;
+  item.enqueue_time = op.enqueue_time;
+  item.work = op.work;
+  item.bytes = op.bytes;
+  item.bw_need = op.bw_need;
+  item.sm_demand = op.sm_demand;
+  item.occupancy = op.occupancy;
+  item.stream = op.stream;
+  item.peer = op.peer;
+  item.kind = op.kind;
+  if (op.prof != KernelProfile{} || op.on_complete || bind) {
+    item.extra = static_cast<std::int32_t>(extras_.size());
+    extras_.push_back({op.prof, std::move(op.on_complete), std::move(bind)});
+  }
   ++num_ops_;
   sealed_gen_ = 0;  // mutation: the next commit re-validates
 }
@@ -410,7 +449,7 @@ void Submission::enqueue(Op op, TimeUs host_time, BindFn bind) {
 void Submission::record_event(EventId event, StreamId stream,
                               TimeUs host_time) {
   Item& item = items_.emplace_back();
-  item.kind = ItemKind::Record;
+  item.type = ItemKind::Record;
   item.event = event;
   item.stream = stream;
   item.host_time = host_time;
@@ -419,7 +458,7 @@ void Submission::record_event(EventId event, StreamId stream,
 
 void Submission::wait_event(StreamId stream, EventId event, TimeUs host_time) {
   Item& item = items_.emplace_back();
-  item.kind = ItemKind::Wait;
+  item.type = ItemKind::Wait;
   item.event = event;
   item.stream = stream;
   item.host_time = host_time;
@@ -465,9 +504,9 @@ void Engine::validate_submission(const Submission& sub) const {
       throw ApiError("commit: submission host times must be non-decreasing");
     }
     prev = item.host_time;
-    switch (item.kind) {
+    switch (item.type) {
       case Submission::ItemKind::Enqueue:
-        check_enqueueable(item.op);
+        check_enqueueable(item.kind, item.stream, item.peer);
         break;
       case Submission::ItemKind::Record:
         check_event_id(item.event, "commit/record_event");
@@ -501,18 +540,17 @@ std::vector<OpId> Engine::commit(Submission& sub) {
   // re-enter the runtime, which must find the submission buffer empty
   // (not mid-iteration). The capacity is donated back afterwards.
   std::vector<Submission::Item> items = std::move(sub.items_);
+  std::vector<Submission::Extra> extras = std::move(sub.extras_);
   sub.items_.clear();
+  sub.extras_.clear();
   sub.num_ops_ = 0;
 
   begin_transaction(items.front().host_time);
   for (const Submission::Item& item : items) {
-    switch (item.kind) {
-      case Submission::ItemKind::Enqueue: {
-        const OpId id = admit_op(item.op, item.host_time);
-        ids.push_back(id);
-        if (item.bind) item.bind(*this, id);
+    switch (item.type) {
+      case Submission::ItemKind::Enqueue:
+        ids.push_back(admit_item(item, extras));
         break;
-      }
       case Submission::ItemKind::Record:
         record_event(item.event, item.stream, item.host_time);
         break;
@@ -529,7 +567,9 @@ std::vector<OpId> Engine::commit(Submission& sub) {
     // Donate the buffer capacity back for reuse (unless a re-entrant
     // callback already appended fresh items to the submission).
     items.clear();
+    extras.clear();
     sub.items_ = std::move(items);
+    sub.extras_ = std::move(extras);
   }
   return ids;
 }
@@ -547,13 +587,11 @@ std::size_t Engine::apply_submission(const Submission& sub) {
   // mutate `sub`).
   for (std::size_t i = 0; i < sub.items_.size(); ++i) {
     const Submission::Item& item = sub.items_[i];
-    switch (item.kind) {
-      case Submission::ItemKind::Enqueue: {
+    switch (item.type) {
+      case Submission::ItemKind::Enqueue:
         // Read in place: the recording stays intact for the next replay.
-        const OpId id = admit_op(item.op, item.host_time);
-        if (item.bind) item.bind(*this, id);
+        admit_item(item, sub.extras_);
         break;
-      }
       case Submission::ItemKind::Record:
         record_event(item.event, item.stream, item.host_time);
         break;
@@ -593,7 +631,7 @@ bool Engine::stream_idle(StreamId stream) const {
 }
 
 bool Engine::op_done(OpId op) const {
-  return record_of(op, "op_done").slot < 0;
+  return locator(op, "op_done").kind() != OpLocator::Kind::Live;
 }
 
 bool Engine::event_done(EventId event) const {
@@ -612,28 +650,48 @@ TimeUs Engine::event_done_time(EventId event) const {
 }
 
 Op Engine::op(OpId id) const {
-  const OpRecord& rec = record_of(id, "op");
+  const OpLocator loc = locator(id, "op");
   Op snap;
   snap.id = id;
-  snap.kind = rec.kind;
-  snap.stream = rec.stream;
-  snap.name = timeline_.name(rec.name);
-  if (rec.slot < 0) {
-    // Retired: reconstruct the compact completion record.
+  if (loc.kind() == OpLocator::Kind::Marker) {
+    const MarkerRecord& m = markers_[loc.index()];
+    snap.kind = OpKind::Marker;
+    snap.stream = m.stream;
+    snap.device = streams_[static_cast<std::size_t>(m.stream)].device;
+    snap.name = timeline_.name(m.name);
     snap.state = OpState::Done;
-    snap.start_time = rec.start;
-    snap.end_time = rec.end;
+    snap.start_time = snap.end_time = m.time;
+    return snap;
+  }
+  if (loc.kind() == OpLocator::Kind::Entry) {
+    // Retired into the timeline: its entry is the op's record, until a
+    // Timeline::clear() drops it.
+    snap.state = OpState::Done;
+    const TimelineEntry* e = timeline_.find(loc.index());
+    if (e == nullptr) return snap;  // dropped: start and end stay -1
+    snap.kind = e->kind;
+    snap.stream = e->stream;
+    snap.device = e->device;
+    snap.peer = e->peer;
+    snap.name = timeline_.name(e->name);
+    snap.bytes = e->bytes;
+    snap.start_time = e->start;
+    snap.end_time = e->end;
     return snap;
   }
   // Live: the core's fields, with lazily-accrued fluid progress folded in
   // from the class progress mirror, so `done` reflects now().
-  const OpCore& core = slab_[static_cast<std::size_t>(rec.slot)];
+  const auto slot = static_cast<std::size_t>(loc.index());
+  const OpCore& core = slab_[slot];
+  snap.kind = core.kind;
+  snap.stream = core.stream;
+  snap.name = timeline_.name(core.name);
   snap.device = core.device;
   snap.peer = core.peer;
   snap.tenant = core.tenant;
   snap.enqueue_time = core.enqueue_time;
   snap.bw_need = core.bw_need;
-  snap.prof = cold_[static_cast<std::size_t>(rec.slot)].prof;
+  snap.prof = cold_[slot].prof;
   snap.bytes = core.bytes;
   snap.work = core.work;
   snap.done = core.work - live_remaining(core);
@@ -770,10 +828,6 @@ void Engine::complete_op(OpCore& op) {
     if (op.kind == OpKind::Kernel) tenant_done_work_[t] += op.work;
   }
 
-  OpRecord& rec = records_[static_cast<std::size_t>(op.id - 1)];
-  rec.start = op.start_time;
-  rec.end = now_;
-
   auto& fifo = streams_[static_cast<std::size_t>(op.stream)].fifo;
   if (!fifo.empty() && fifo.front() == op.id) fifo.pop_front();
 
@@ -866,7 +920,8 @@ void Engine::complete_op(OpCore& op) {
 
   // Complete any event gated on this op (reverse index; re-records against
   // a newer gate are skipped by the gate check).
-  const std::int32_t slot = rec.slot;
+  OpLocator& loc = loc_[static_cast<std::size_t>(op.id - 1)];
+  const std::int32_t slot = loc.slot();
   OpCold& cold = cold_[static_cast<std::size_t>(slot)];
   list_drain(cold.gates, [this, &op](EventId eid) {
     EventState& ev = events_[static_cast<std::size_t>(eid)];
@@ -876,7 +931,13 @@ void Engine::complete_op(OpCore& op) {
     }
   });
 
-  if (op.kind != OpKind::Marker) {
+  // Retire the locator: from here the op is found by its timeline entry,
+  // or — markers never reach the timeline and start and end at once — by
+  // its marker-log record.
+  if (op.kind == OpKind::Marker) {
+    loc = OpLocator::marker(markers_.size());
+    markers_.push_back({now_, op.stream, op.name});
+  } else {
     TimelineEntry e;
     e.op = op.id;
     e.kind = op.kind;
@@ -887,7 +948,7 @@ void Engine::complete_op(OpCore& op) {
     e.start = op.start_time;
     e.end = now_;
     e.bytes = op.bytes;
-    timeline_.record(e, cold.prof);
+    loc = OpLocator::entry(timeline_.record(e, cold.prof));
   }
 
   const StreamId stream = op.stream;
@@ -901,7 +962,6 @@ void Engine::complete_op(OpCore& op) {
   cold.on_complete = nullptr;
   cold.prof = KernelProfile{};
   op = OpCore{};
-  rec.slot = -1;
   --live_ops_;
   free_slots_.push_back(slot);
   if (fn) fn();
@@ -948,9 +1008,9 @@ void Engine::push_start(OpCore& op, TimeUs at) {
 
 void Engine::compact_start_heap() {
   std::erase_if(start_heap_, [this](const HeapEntry& e) {
-    const OpRecord& rec = records_[static_cast<std::size_t>(e.id - 1)];
-    if (rec.slot < 0) return true;  // op retired (slot may be reused)
-    return slab_[static_cast<std::size_t>(rec.slot)].heap_seq != e.seq;
+    const std::int32_t slot = live_slot(e.id);
+    if (slot < 0) return true;  // op retired (slot may be reused)
+    return slab_[static_cast<std::size_t>(slot)].heap_seq != e.seq;
   });
   std::make_heap(start_heap_.begin(), start_heap_.end(), std::greater<>());
   start_heap_stale_ = 0;
@@ -960,9 +1020,8 @@ void Engine::compact_start_heap() {
 void Engine::check_stream_head(StreamId stream) {
   auto& fifo = streams_[static_cast<std::size_t>(stream)].fifo;
   if (fifo.empty()) return;
-  const OpId id = fifo.front();
-  OpRecord& rec = records_[static_cast<std::size_t>(id - 1)];
-  OpCore& op = slab_[static_cast<std::size_t>(rec.slot)];
+  const std::int32_t slot = live_slot(fifo.front());
+  OpCore& op = slab_[static_cast<std::size_t>(slot)];
   if (op.state != OpState::Queued) return;
 
   // Earliest possible start among enqueue time and the awaited event's
@@ -1014,7 +1073,7 @@ void Engine::check_stream_head(StreamId stream) {
   if (cls != kClassNone) {
     auto& members = class_members_[static_cast<std::size_t>(cls)];
     op.class_pos = static_cast<std::int32_t>(members.size());
-    members.push_back(rec.slot);
+    members.push_back(slot);
     double w = 1.0;  // equal-share classes: unit weight
     if (op.kind == OpKind::Kernel) {
       // Capture the static demand once: the same expressions the solver
@@ -1067,7 +1126,7 @@ void Engine::check_stream_head(StreamId stream) {
   if (op.work <= kWorkEps) {
     complete_op(op);  // zero-duration markers finish instantly
     // No references may be used past complete_op: the callback can grow
-    // streams_/records_/slab_ re-entrantly.
+    // streams_/loc_/slab_ re-entrantly.
   }
 }
 
@@ -1274,11 +1333,10 @@ bool Engine::incremental_resolve(int cls, bool kernel_class, double share) {
     if (g.n <= 0) continue;
     while (!g.heap.empty()) {
       const FinishEntry& top = g.heap.front();
-      const OpRecord& rec = records_[static_cast<std::size_t>(top.id - 1)];
+      const std::int32_t slot = live_slot(top.id);
       const bool live =
-          rec.slot >= 0 &&
-          slab_[static_cast<std::size_t>(rec.slot)].id == top.id &&
-          slab_[static_cast<std::size_t>(rec.slot)].state == OpState::Running;
+          slot >= 0 &&
+          slab_[static_cast<std::size_t>(slot)].state == OpState::Running;
       if (live) break;
       std::pop_heap(g.heap.begin(), g.heap.end(), std::greater<>());
       g.heap.pop_back();
@@ -1598,9 +1656,8 @@ TimeUs Engine::earliest_completion() const {
 TimeUs Engine::earliest_queued_candidate() {
   while (!start_heap_.empty()) {
     const HeapEntry& e = start_heap_.front();
-    const OpRecord& rec = records_[static_cast<std::size_t>(e.id - 1)];
-    if (rec.slot >= 0 &&
-        slab_[static_cast<std::size_t>(rec.slot)].heap_seq == e.seq) {
+    const std::int32_t slot = live_slot(e.id);
+    if (slot >= 0 && slab_[static_cast<std::size_t>(slot)].heap_seq == e.seq) {
       return e.t;
     }
     // Stale: op started, retired, or displaced by a newer entry.
@@ -1616,12 +1673,12 @@ void Engine::release_due_starts() {
     const HeapEntry e = start_heap_.front();
     std::pop_heap(start_heap_.begin(), start_heap_.end(), std::greater<>());
     start_heap_.pop_back();
-    const OpRecord& rec = records_[static_cast<std::size_t>(e.id - 1)];
-    if (rec.slot < 0) {
+    const std::int32_t slot = live_slot(e.id);
+    if (slot < 0) {
       --start_heap_stale_;
       continue;
     }
-    OpCore& op = slab_[static_cast<std::size_t>(rec.slot)];
+    OpCore& op = slab_[static_cast<std::size_t>(slot)];
     if (op.heap_seq != e.seq) {
       --start_heap_stale_;
       continue;
@@ -1651,13 +1708,10 @@ bool Engine::complete_due_ops() {
         const double v_due = g.v + g.c * (now_ + tol - since);
         while (!g.heap.empty()) {
           const FinishEntry top = g.heap.front();
-          const OpRecord& rec =
-              records_[static_cast<std::size_t>(top.id - 1)];
+          const std::int32_t slot = live_slot(top.id);
           const bool live =
-              rec.slot >= 0 &&
-              slab_[static_cast<std::size_t>(rec.slot)].id == top.id &&
-              slab_[static_cast<std::size_t>(rec.slot)].state ==
-                  OpState::Running;
+              slot >= 0 &&
+              slab_[static_cast<std::size_t>(slot)].state == OpState::Running;
           if (live && top.f > v_due) break;
           std::pop_heap(g.heap.begin(), g.heap.end(), std::greater<>());
           g.heap.pop_back();
@@ -1682,9 +1736,9 @@ bool Engine::complete_due_ops() {
   }
   std::sort(due.begin(), due.end());  // deterministic tie-breaking
   for (const OpId id : due) {
-    const OpRecord& rec = records_[static_cast<std::size_t>(id - 1)];
-    if (rec.slot < 0) continue;
-    OpCore& op = slab_[static_cast<std::size_t>(rec.slot)];
+    const std::int32_t slot = live_slot(id);
+    if (slot < 0) continue;
+    OpCore& op = slab_[static_cast<std::size_t>(slot)];
     if (op.state == OpState::Running) complete_op(op);
   }
   due_ = std::move(due);
@@ -1710,9 +1764,8 @@ void Engine::note_progress(bool advanced) {
   msg << "; queued heads:";
   for (const auto& stream : streams_) {
     if (stream.fifo.empty()) continue;
-    const OpRecord& rec =
-        records_[static_cast<std::size_t>(stream.fifo.front() - 1)];
-    const OpCore& op = slab_[static_cast<std::size_t>(rec.slot)];
+    const OpCore& op =
+        slab_[static_cast<std::size_t>(live_slot(stream.fifo.front()))];
     if (op.state != OpState::Queued) continue;
     msg << " [stream " << op.stream << " op " << op.id << " '"
         << timeline_.name(op.name) << "' enqueue_t " << op.enqueue_time
@@ -1788,9 +1841,8 @@ void Engine::check_deadlock() {
   msg << "engine deadlock at t=" << now_ << "us; blocked ops:";
   for (const auto& stream : streams_) {
     if (stream.fifo.empty()) continue;
-    const OpRecord& rec =
-        records_[static_cast<std::size_t>(stream.fifo.front() - 1)];
-    const OpCore& op = slab_[static_cast<std::size_t>(rec.slot)];
+    const OpCore& op =
+        slab_[static_cast<std::size_t>(live_slot(stream.fifo.front()))];
     msg << " [stream " << op.stream << " op " << op.id << " '"
         << timeline_.name(op.name) << "']";
   }
@@ -1807,7 +1859,7 @@ TimeUs Engine::run_until_op_done(OpId op_id) {
     check_deadlock();
     if (!step(kTimeInfinity)) check_deadlock();
   }
-  return records_[static_cast<std::size_t>(op_id - 1)].end;
+  return op(op_id).end_time;  // -1 once a Timeline::clear() dropped it
 }
 
 TimeUs Engine::run_until_event(EventId event) {

@@ -17,9 +17,12 @@
 //
 // Engine core (see docs/engine-internals.md for the full design):
 //   * op storage is a contiguous slab of compact hot records (OpCore) with a
-//     free list and a parallel cold slot per slab entry; completed ops
-//     retire to a compact per-id record (start/end/kind/stream/name) so live
-//     memory is bounded by the number of concurrently in-flight ops;
+//     free list and a parallel cold slot per slab entry, bounded by the
+//     number of concurrently in-flight ops. Per op id the engine keeps only
+//     a 4-byte locator (OpLocator): the slab slot while live, then the
+//     position of the op's TimelineEntry (or, for markers, of its record in
+//     a small marker log), so what grows with run length is the timeline
+//     the caller retains plus 4 bytes per id;
 //   * each running op carries its predicted completion time, refreshed by
 //     its class's rate re-solve (which iterates the class anyway); the
 //     engine keeps the per-class minimum, so finding the next completion is
@@ -37,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -72,22 +74,24 @@ class Submission {
   /// (set_on_complete, host-side pending-op tracking).
   using BindFn = std::function<void(Engine&, OpId)>;
 
-  /// Append an op enqueue (validated at commit, not here). The op is moved
-  /// straight into a new item; commit copies its fields once into the
-  /// engine's slot.
+  /// Append an op enqueue (validated at commit, not here). The item keeps
+  /// only the fields the engine reads (the name moved in); a kernel
+  /// profile, `on_complete` and `bind` go to side storage only when set.
+  /// Commit copies the fields once into the engine's slot.
   void enqueue(Op op, TimeUs host_time, BindFn bind = nullptr);
   /// Append an event record on `stream`.
   void record_event(EventId event, StreamId stream, TimeUs host_time);
   /// Append an event wait (lowered to a wait marker op at commit).
   void wait_event(StreamId stream, EventId event, TimeUs host_time);
 
-  /// Pre-size the item buffer (ops are buffered by value; reserving spares
-  /// the growth reallocations of a large transaction).
+  /// Pre-size the item buffer (reserving spares the growth reallocations
+  /// of a large transaction).
   void reserve(std::size_t items) { items_.reserve(items); }
   /// Drop every recorded item (buffer capacity retained) and unseal.
   /// Used to discard a partial recording after a failed capture.
   void clear() {
     items_.clear();
+    extras_.clear();
     working_sets_.clear();
     num_ops_ = 0;
     sealed_gen_ = 0;
@@ -126,15 +130,35 @@ class Submission {
  private:
   friend class Engine;
   enum class ItemKind { Enqueue, Record, Wait };
+  /// One recorded call. Enqueue items carry the engine-ready op fields
+  /// under the names Op uses (so the engine admits either alike); what
+  /// few ops set — a kernel profile, `on_complete`, a bind — lives in
+  /// extras_.
   struct Item {
-    ItemKind kind = ItemKind::Enqueue;
-    Op op;                             ///< Enqueue only
-    BindFn bind;                       ///< Enqueue only
-    EventId event = kInvalidEvent;     ///< Record / Wait
-    StreamId stream = kInvalidStream;  ///< Record / Wait
+    std::string name;                  ///< Enqueue only
     TimeUs host_time = 0;
+    TimeUs enqueue_time = 0;           ///< Enqueue only, like Op's
+    double work = 0;                   ///< Enqueue only, like Op's
+    double bytes = 0;
+    double bw_need = 0;
+    double sm_demand = 0;
+    double occupancy = 0;
+    EventId event = kInvalidEvent;     ///< Record / Wait
+    StreamId stream = kInvalidStream;  ///< every item
+    DeviceId peer = kInvalidDevice;    ///< Enqueue only (CopyP2P source)
+    std::int32_t extra = -1;           ///< index into extras_; -1 = none
+    ItemKind type = ItemKind::Enqueue;
+    OpKind kind = OpKind::Marker;      ///< Enqueue only
+  };
+  static_assert(sizeof(Item) <= 128, "buffered once per recorded call");
+  /// Side storage of an Enqueue item that set any of these.
+  struct Extra {
+    KernelProfile prof;
+    std::function<void()> on_complete;
+    BindFn bind;
   };
   std::vector<Item> items_;
+  std::vector<Extra> extras_;
   std::vector<FrontierEntry> working_sets_;  ///< planner metadata only
   std::size_t num_ops_ = 0;
   /// Generation id of the engine whose const-commit validated this list
@@ -268,7 +292,8 @@ class Engine {
   // --- time control ---
   /// Process device activity up to virtual time `t` (never goes backward).
   void advance_to(TimeUs t);
-  /// Advance until `op` completes; returns its completion time.
+  /// Advance until `op` completes; returns its completion time (-1 when a
+  /// Timeline::clear() has dropped its entry).
   TimeUs run_until_op_done(OpId op);
   /// Advance until `event` completes; returns its completion time.
   TimeUs run_until_event(EventId event);
@@ -285,12 +310,15 @@ class Engine {
   [[nodiscard]] bool event_done(EventId event) const;
   [[nodiscard]] TimeUs event_done_time(EventId event) const;
   /// Snapshot an op's state (by value: live ops move through a recycled
-  /// slab, retired ops only persist as compact completion records, so no
+  /// slab and retired ones persist only as their timeline entry, so no
   /// stable reference exists). Live ops carry their core fields, name and
   /// profile with progress (`done`) folded to now(); retired ops carry
-  /// id/kind/stream/name/start_time/end_time and state only. Kernel
-  /// sm_demand/occupancy (folded into the fill at enqueue) and on_complete
-  /// are never reported.
+  /// id/kind/stream/device/peer/name/bytes/start_time/end_time and state
+  /// from their TimelineEntry (markers: kind/stream/device/name and
+  /// start_time == end_time from the marker log). An op whose entry a
+  /// Timeline::clear() dropped reports only state Done, with start_time
+  /// and end_time -1. Kernel sm_demand/occupancy (folded into the fill at
+  /// enqueue) and on_complete are never reported.
   [[nodiscard]] Op op(OpId id) const;
   [[nodiscard]] bool all_idle() const { return live_ops_ == 0; }
 
@@ -390,8 +418,28 @@ class Engine {
   static constexpr OpKind kSlotKind[kSlotsPerDevice] = {
       OpKind::Kernel, OpKind::CopyH2D, OpKind::CopyD2H, OpKind::Fault};
 
+  /// A stream's queued + running ops in issue order: a power-of-two ring
+  /// that keeps its capacity, so steady-state pushes never allocate.
+  class IdRing {
+   public:
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] OpId front() const { return buf_[head_]; }
+    [[nodiscard]] OpId back() const {
+      return buf_[(head_ + size_ - 1) & (buf_.size() - 1)];
+    }
+    void pop_front() {
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+    }
+    void push_back(OpId id);
+
+   private:
+    std::vector<OpId> buf_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
   struct StreamState {
-    std::deque<OpId> fifo;  ///< queued + running ops, in issue order
+    IdRing fifo;  ///< queued + running ops, in issue order
     DeviceId device = kDefaultDevice;
     TenantId tenant = kDefaultTenant;  ///< ops inherit this at enqueue
     bool pending = false;   ///< queued for a head ready-check
@@ -420,15 +468,12 @@ class Engine {
     /// maintained by record_event, so completion does not scan all events).
     std::int32_t gates = kNoNode;
   };
-  /// Compact per-id op record: slab slot while live, completion times after
-  /// retirement. Indexed by OpId - 1 (ids are dense).
-  struct OpRecord {
-    std::int32_t slot = -1;  ///< slab slot; -1 once retired
+  /// A retired marker: markers never reach the timeline and start and end
+  /// at the same instant, so this is all op(id) needs to report one.
+  struct MarkerRecord {
+    TimeUs time = 0;
     StreamId stream = kInvalidStream;
-    OpKind kind = OpKind::Marker;
     Timeline::NameId name = 0;
-    TimeUs start = -1;
-    TimeUs end = -1;
   };
   /// Start-heap entry: a queued head's known future start time, stamped
   /// with the op's heap sequence so displaced entries are recognized as
@@ -513,24 +558,38 @@ class Engine {
                               : op.device * kSlotsPerDevice + slot;
   }
 
-  [[nodiscard]] const OpRecord& record_of(OpId id, const char* who) const;
+  /// The locator of op `id` (throws ApiError for an id never issued).
+  [[nodiscard]] OpLocator locator(OpId id, const char* who) const;
+  /// Slab slot of a live op, -1 once retired (`id` must have been issued).
+  [[nodiscard]] std::int32_t live_slot(OpId id) const {
+    return loc_[static_cast<std::size_t>(id - 1)].slot();
+  }
 
   /// Shared enqueue validation (throws ApiError): stream range and CopyP2P
   /// peer constraints. Used by enqueue() and by commit()'s atomic pre-pass.
-  void check_enqueueable(const Op& op) const;
+  void check_enqueueable(OpKind kind, StreamId stream, DeviceId peer) const;
   /// Atomic pre-pass shared by both commit flavours: per-item validation
   /// plus non-decreasing host times. Throws ApiError; touches no state.
   void validate_submission(const Submission& sub) const;
   /// Validate-or-skip (sealing) plus the item-apply loop shared by the
   /// const commit and ingest(); the caller brackets the transaction.
   std::size_t apply_submission(const Submission& sub);
-  /// Claim a slab slot for a new op (fresh id, per-id record, FIFO append,
-  /// transaction accounting); the caller fills the kind-specific fields of
-  /// the returned slot's core and cold halves.
+  /// Claim a slab slot for a new op (fresh id, per-id locator, FIFO
+  /// append, transaction accounting); the caller fills the kind-specific
+  /// fields of the returned slot's core and cold halves.
   std::int32_t admit(OpKind kind, StreamId stream, Timeline::NameId name,
                      TimeUs host_time);
-  /// enqueue() without validation: copies `op`'s fields into a new slot.
-  OpId admit_op(const Op& op, TimeUs host_time);
+  /// enqueue() without validation: copies the fields of `op` (an Op or a
+  /// Submission item, which share their names) into a new slot, plus the
+  /// profile and callback when given.
+  template <typename OpFields>
+  OpId admit_op(const OpFields& op, TimeUs host_time,
+                const KernelProfile* prof,
+                const std::function<void()>* on_complete);
+  /// Admit a Submission's Enqueue item (its extras, if any, from `extras`)
+  /// and run its bind with the fresh id.
+  OpId admit_item(const Submission::Item& item,
+                  const std::vector<Submission::Extra>& extras);
   /// The wait_event lowering: one zero-work marker gated on `event`,
   /// written straight into its slot.
   OpId admit_wait_marker(StreamId stream, EventId event, TimeUs host_time);
@@ -667,8 +726,9 @@ class Engine {
   std::vector<OpCore> slab_;
   std::vector<OpCold> cold_;
   std::vector<std::int32_t> free_slots_;
-  std::vector<OpRecord> records_;  ///< per-id, dense, compact
-  long live_ops_ = 0;              ///< queued + running (slab occupancy)
+  std::vector<OpLocator> loc_;  ///< per op id (index id - 1), dense
+  std::vector<MarkerRecord> markers_;  ///< retired markers, in order
+  long live_ops_ = 0;  ///< queued + running (slab occupancy)
   long peak_resident_ = 0;
 
   // --- scheduling state ---

@@ -39,6 +39,8 @@ struct KernelProfile {
     instructions += o.instructions;
     return *this;
   }
+
+  friend bool operator==(const KernelProfile&, const KernelProfile&) = default;
 };
 
 /// Execution state of an op inside the engine.
@@ -128,6 +130,58 @@ struct OpCore {
   std::uint32_t name = 0;  ///< id in the Timeline's name table
   OpKind kind = OpKind::Marker;
   OpState state = OpState::Queued;
+};
+
+/// Where the engine finds an op by id — 4 bytes per op id ever created.
+/// While the op is live it is its slab slot. Once it retires it is the
+/// absolute Timeline position of its entry (Timeline::find), or, for
+/// markers (which never reach the timeline), an index into the engine's
+/// marker log. Positions below 2^31 and slots / marker indices below 2^30
+/// fit; anything larger throws CapacityError instead of wrapping.
+class OpLocator {
+ public:
+  enum class Kind { Entry, Live, Marker };
+
+  [[nodiscard]] static OpLocator live(std::size_t slot) {
+    return OpLocator(kLiveTag | fit(slot, kSmallLimit, "slab slot"));
+  }
+  [[nodiscard]] static OpLocator entry(std::uint64_t position) {
+    return OpLocator(fit(position, kEntryLimit, "timeline position"));
+  }
+  [[nodiscard]] static OpLocator marker(std::size_t index) {
+    return OpLocator(kMarkerTag |
+                     fit(index, kSmallLimit, "marker log index"));
+  }
+
+  [[nodiscard]] Kind kind() const {
+    if (bits_ < kLiveTag) return Kind::Entry;
+    return bits_ < kMarkerTag ? Kind::Live : Kind::Marker;
+  }
+  /// The slot, position or marker index (per kind()).
+  [[nodiscard]] std::uint32_t index() const {
+    return bits_ < kLiveTag ? bits_ : bits_ & kIndexMask;
+  }
+  /// Slab slot of a live op; -1 once it retired. The engine's hot lookup.
+  [[nodiscard]] std::int32_t slot() const {
+    return kind() == Kind::Live ? static_cast<std::int32_t>(index()) : -1;
+  }
+
+ private:
+  // Top bit clear: a timeline position. Tags 10 / 11: slab slot / marker.
+  static constexpr std::uint32_t kLiveTag = 0x8000'0000u;
+  static constexpr std::uint32_t kMarkerTag = 0xC000'0000u;
+  static constexpr std::uint64_t kEntryLimit = std::uint64_t{1} << 31;
+  static constexpr std::uint64_t kSmallLimit = std::uint64_t{1} << 30;
+  static constexpr std::uint32_t kIndexMask = kSmallLimit - 1;
+
+  static std::uint32_t fit(std::uint64_t v, std::uint64_t limit,
+                           const char* what) {
+    if (v >= limit) throw CapacityError(what, v, limit);
+    return static_cast<std::uint32_t>(v);
+  }
+  explicit OpLocator(std::uint32_t bits) : bits_(bits) {}
+
+  std::uint32_t bits_;
 };
 
 }  // namespace psched::sim

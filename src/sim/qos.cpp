@@ -157,14 +157,18 @@ void QosManager::tick() {
         ++i;
         continue;
       }
-      const Op rec = eng.op(tr[i].first);
-      const double lat = rec.end_time - tr[i].second;
-      s.window.add(lat);
-      s.cumulative.add(lat);
-      ++s.completed;
-      if (s.cls == ServiceClass::LatencyCritical && lat > s.target_us) {
-        ++s.misses;
+      // An op whose timeline entry a Timeline::clear() dropped reports end
+      // -1: it completed, but its latency is unknown — no sample.
+      const TimeUs end = eng.op(tr[i].first).end_time;
+      if (end >= 0) {
+        const double lat = end - tr[i].second;
+        s.window.add(lat);
+        s.cumulative.add(lat);
+        if (s.cls == ServiceClass::LatencyCritical && lat > s.target_us) {
+          ++s.misses;
+        }
       }
+      ++s.completed;
       tr[i] = tr.back();
       tr.pop_back();
     }

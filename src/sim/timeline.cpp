@@ -15,7 +15,8 @@ bool counts_for_makespan(const TimelineEntry& e) {
 
 }  // namespace
 
-void Timeline::record(const TimelineEntry& e, const KernelProfile& prof) {
+std::uint64_t Timeline::record(const TimelineEntry& e,
+                               const KernelProfile& prof) {
   if (counts_for_makespan(e)) {
     agg_.begin = std::min(agg_.begin, e.start);
     agg_.end = std::max(agg_.end, e.end);
@@ -27,6 +28,7 @@ void Timeline::record(const TimelineEntry& e, const KernelProfile& prof) {
     agg_.transfer_time += e.duration();
   }
   entries_.push_back(e);
+  return dropped_ + entries_.size() - 1;
 }
 
 Timeline::NameId Timeline::intern(const std::string& name) {

@@ -53,16 +53,30 @@ class Timeline {
 
   Timeline() { intern(""); }  // id 0: the empty name
 
-  /// Drop every entry and the aggregates. The name table is kept, so ids
-  /// handed out earlier (held by ops still in flight) stay valid.
+  /// Drop every entry and the aggregates. Positions are never reused: the
+  /// dropped entries advance dropped(), so a position record() returned
+  /// earlier now finds nothing. The name table is kept, so ids handed out
+  /// earlier (held by ops still in flight) stay valid.
   void clear() {
+    dropped_ += entries_.size();
     entries_.clear();
     agg_ = Aggregates{};
   }
-  /// Record one completed op; aggregate quantities (makespan bounds, busy
-  /// totals, kernel counters from `prof`) are folded in here so the
-  /// hot-path queries below are O(1) instead of rescanning the entry list.
-  void record(const TimelineEntry& e, const KernelProfile& prof = {});
+  /// Record one completed op and return its absolute position (stable
+  /// across clear()); aggregate quantities (makespan bounds, busy totals,
+  /// kernel counters from `prof`) are folded in here so the hot-path
+  /// queries below are O(1) instead of rescanning the entry list.
+  std::uint64_t record(const TimelineEntry& e, const KernelProfile& prof = {});
+
+  /// Entries clear() has dropped so far: the absolute position of
+  /// entries().front().
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+  /// The entry at absolute position `pos`, or nullptr when a clear()
+  /// dropped it (or no entry was recorded there yet).
+  [[nodiscard]] const TimelineEntry* find(std::uint64_t pos) const {
+    if (pos < dropped_ || pos - dropped_ >= entries_.size()) return nullptr;
+    return &entries_[static_cast<std::size_t>(pos - dropped_)];
+  }
 
   /// Id of `name` in the name table, adding it on first sight. Ids are
   /// dense and stable for the table's lifetime; a copied Timeline carries
@@ -125,6 +139,7 @@ class Timeline {
   };
 
   std::vector<TimelineEntry> entries_;
+  std::uint64_t dropped_ = 0;
   Aggregates agg_;
   std::vector<std::string> names_;
   std::unordered_map<std::string, NameId> name_ids_;

@@ -96,6 +96,27 @@ class TransactionError : public ApiError {
   std::size_t pending_ops;
 };
 
+/// Raised when a run outgrows one of the engine's fixed-width indexes: an
+/// op locator (4 bytes per op id) holds a timeline position below 2^31 and
+/// a slab slot or marker-log index below 2^30. Structured (which index, the
+/// value that did not fit, its limit); thrown instead of wrapping, so a
+/// locator never aliases another op's record.
+class CapacityError : public Error {
+ public:
+  CapacityError(const char* index_, std::uint64_t value_, std::uint64_t limit_)
+      : Error(std::string(index_) + " " + std::to_string(value_) +
+              " does not fit an op locator (limit " +
+              std::to_string(limit_) + ")"),
+        index(index_),
+        value(value_),
+        limit(limit_) {}
+
+  /// The overflowing index (static string: "timeline position", ...).
+  const char* index;
+  std::uint64_t value;
+  std::uint64_t limit;
+};
+
 /// Latency service class a tenant declares in its TenantSpec. Batch
 /// tenants want throughput (their fair share, eventually); LatencyCritical
 /// tenants additionally declare a p99 completion-latency target that the

@@ -4,9 +4,9 @@
 // Timeline's name table — resolve across clear(), copies and the bench
 // runner's retained timeline.
 //
-// Allocations are counted by replacing the global operator new/delete in
-// this test binary; each test compares two readings taken around the
-// region it measures, on the test's own thread.
+// Allocations (count and bytes) are counted by replacing the global
+// operator new/delete in this test binary; each test compares two readings
+// taken around the region it measures, on the test's own thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,18 +20,18 @@
 
 namespace {
 std::atomic<long> g_allocs{0};
+std::atomic<long> g_bytes{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(static_cast<long>(n), std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
 }  // namespace
 
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
 // Out of line: inlined into a call site in this file, free() would pair
 // with an operator new there and trip -Wmismatched-new-delete.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
@@ -49,8 +49,10 @@ namespace {
 static_assert(sizeof(TimelineEntry) <= 64,
               "a long run retains one TimelineEntry per op");
 static_assert(sizeof(OpCore) <= 128, "the engine's hot op record");
+static_assert(sizeof(OpLocator) == 4, "the engine keeps one per op id");
 
 long allocs() { return g_allocs.load(std::memory_order_relaxed); }
+long alloc_bytes() { return g_bytes.load(std::memory_order_relaxed); }
 
 constexpr int kStreams = 32;
 
@@ -108,16 +110,27 @@ TEST(OpFootprint, SteadyStateWavesAllocateAlmostNothingPerOp) {
   for (; wave < 4; ++wave) run_wave(eng, sub, wave, kWave);
 
   const long a0 = allocs();
+  const long b0 = alloc_bytes();
   long ops = 0;
   for (; wave < 20; ++wave) ops += run_wave(eng, sub, wave, kWave);
   const long made = allocs() - a0;
+  const long bytes = alloc_bytes() - b0;
   ASSERT_EQ(eng.timeline().entries().size(),
             static_cast<std::size_t>(20 * kWave));
-  // What remains is amortized growth of the run-length records (per-id
-  // records, timeline entries, events), stream FIFO chunks and one id
-  // vector per commit — not per-op lists, closures or heaps.
-  EXPECT_LE(static_cast<double>(made) / static_cast<double>(ops), 0.05)
-      << made << " allocations over " << ops << " ops";
+  const double per_op = static_cast<double>(made) / static_cast<double>(ops);
+  const double bytes_per_op =
+      static_cast<double>(bytes) / static_cast<double>(ops);
+  RecordProperty("allocs_per_op", std::to_string(per_op));
+  RecordProperty("bytes_per_op", std::to_string(bytes_per_op));
+  // What remains is amortized growth of the run-length arrays (per-id
+  // locators, timeline entries, the marker log, events) and one id vector
+  // per commit — not per-op lists, closures, heaps or FIFO chunks.
+  // Bytes: mostly the doubling of the timeline entries, plus 4 bytes of
+  // locator per op id — about 213 per op; a 32-byte per-id record and
+  // deque FIFO chunks would put it near 291.
+  EXPECT_LE(per_op, 0.005) << made << " allocations over " << ops << " ops";
+  EXPECT_LE(bytes_per_op, 250.0)
+      << bytes << " bytes allocated over " << ops << " ops";
 }
 
 TEST(OpFootprint, CopyClassRefillReusesItsFinishHeap) {
@@ -129,11 +142,11 @@ TEST(OpFootprint, CopyClassRefillReusesItsFinishHeap) {
     eng.run_all();
   };
   for (int i = 0; i < 1100; ++i) copy();
-  // 1100..1600 ops: no doubling of the per-id records or timeline entries
-  // (capacity 2048), so only stream FIFO chunks remain.
+  // 1100..1600 ops: no doubling of the per-id locators or timeline entries
+  // (capacity 2048), and the stream's FIFO ring keeps its capacity.
   const long a0 = allocs();
   for (int i = 0; i < 500; ++i) copy();
-  EXPECT_LE(allocs() - a0, 25);
+  EXPECT_EQ(allocs() - a0, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -245,6 +245,43 @@ TEST(Submission, BindRunsWithAssignedIdBeforeOpCanStart) {
   EXPECT_TRUE(completed);  // marker completed during the commit
 }
 
+TEST(Submission, ProfileCallbackAndBindSurviveBothCommitForms) {
+  // Items keep only the engine-ready fields inline; a kernel profile,
+  // on_complete and a bind ride in side storage, only for the ops that
+  // set them. Both commit forms must hand all three to the engine.
+  KernelProfile prof;
+  prof.flops_sp = 3e6;
+  prof.l2_bytes = 5e5;
+  int callbacks = 0;
+  int binds = 0;
+  const auto record = [&](Submission& sub) {
+    Op plain = test::raw_kernel(kDefaultStream, 4, 4, 1.0);
+    sub.enqueue(std::move(plain), 0);
+    Op rich = test::raw_kernel(kDefaultStream, 4, 4, 1.0);
+    rich.prof = prof;
+    rich.on_complete = [&callbacks] { ++callbacks; };
+    sub.enqueue(std::move(rich), 0,
+                [&binds](Engine& e, OpId id) { binds += !e.op_done(id); });
+  };
+  Engine eng(DeviceSpec::test_device());
+  Submission drained;
+  record(drained);
+  eng.commit(drained);
+  EXPECT_TRUE(drained.empty());
+  Submission recorded;
+  record(recorded);
+  eng.commit(static_cast<const Submission&>(recorded));
+  eng.commit(static_cast<const Submission&>(recorded));
+  eng.run_all();
+  EXPECT_EQ(callbacks, 3);
+  EXPECT_EQ(binds, 3);
+  EXPECT_EQ(eng.timeline().total_kernel_profile().flops_sp,
+            3 * prof.flops_sp);
+  EXPECT_EQ(eng.timeline().total_kernel_profile().l2_bytes,
+            3 * prof.l2_bytes);
+  EXPECT_EQ(eng.timeline().entries().size(), 6u);
+}
+
 TEST(Submission, AtomicValidationRejectsWholeSubmission) {
   Engine eng(DeviceSpec::test_device());
   Submission sub;

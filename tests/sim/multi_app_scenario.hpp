@@ -1,26 +1,25 @@
-// Concurrent multi-app scenario driver (the tenancy acceptance harness).
+// Concurrent multi-app scenarios (the tenancy and QoS acceptance runs).
 //
-// Drives N independent synthetic applications onto ONE GpuRuntime through
-// TenantManager handles: every app runs the same mixed-shape DAG (rounds
-// cycle wide -> deep -> diamond over its own streams and arrays) so
-// equal-weight tenants have identical demand, except the LAST tenant,
-// whose working set oversubscribes both its quota and the device — the
-// thrash victim the quota-biased LRU must contain. Reported per tenant:
-// completed kernel work (solo-us) per virtual time, completed ops, and
-// bytes evicted; plus Jain's fairness index over the equal-demand tenants
-// (and over all tenants, informationally).
+// run_multi_app drives N independent synthetic applications onto ONE
+// GpuRuntime through TenantManager handles: every app runs the same
+// mixed-shape DAG (rounds cycle wide -> deep -> diamond over its own
+// streams and arrays) so equal-weight tenants have identical demand,
+// except the LAST tenant, whose working set oversubscribes both its quota
+// and the device — the thrash victim the quota-biased LRU must contain.
+// Reported per tenant: completed kernel work (solo-us), work per virtual
+// ms of its own runtime, and bytes evicted; plus Jain's fairness index
+// over the equal-demand tenants and over all tenants.
 //
-// A second entry point, run_weighted_pair, floods one saturated kernel
-// class from two tenants with weights {2, 1} and reports their completed-
-// work ratio at a fixed virtual horizon — the weighted-fair-sharing
-// acceptance number (2.0 +- 10%).
+// run_weighted_pair floods one saturated kernel class from two tenants
+// with weights {2, 1} and reports their completed-work ratio at a fixed
+// virtual horizon — the weighted-fair-sharing acceptance number
+// (2.0 +- 10%). run_qos_mixed is the latency-QoS acceptance scenario.
 //
-// Shared by bench/multi_app.cpp (standalone report) and
-// bench/micro_scheduler_overhead.cpp (BENCH_scheduler.json rows).
+// Everything here is deterministic in virtual time. Shared by
+// test_tenant.cpp and test_qos.cpp.
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -29,30 +28,18 @@
 #include "sim/qos.hpp"
 #include "sim/tenant.hpp"
 
-namespace psched::bench {
+namespace psched::sim::scenario {
 
 struct TenantMetrics {
-  sim::TenantId id = 0;
-  double weight = 1.0;
-  long ops = 0;               ///< completed engine ops (kernels + faults)
   double work_us = 0;         ///< completed kernel work, solo-us
-  double finish_us = 0;       ///< when this tenant's last own-stream op ended
   double work_per_ms = 0;     ///< work_us per virtual ms of *its* runtime
   std::size_t bytes_evicted = 0;
-  std::size_t working_set_bytes = 0;
   bool oversubscribed = false;
 };
 
 struct MultiAppMetrics {
-  int n_tenants = 0;
-  long kernels_launched = 0;
-  double makespan_us = 0;
-  double ops_per_sec = 0;     ///< wall-clock kernel launches per second
   double jain_equal = 1.0;    ///< Jain over the equal-demand tenants
-  double jain_all = 1.0;      ///< Jain over every tenant (informational)
-  std::size_t bytes_evicted = 0;           ///< roster total
-  std::size_t heavy_bytes_evicted = 0;     ///< the oversubscribed tenant
-  std::size_t light_bytes_evicted = 0;     ///< everyone else combined
+  double jain_all = 1.0;      ///< Jain over every tenant
   std::vector<TenantMetrics> tenants;
 };
 
@@ -120,21 +107,14 @@ inline void submit_round(sim::GpuRuntime& rt, sim::Tenant& app,
 }  // namespace detail
 
 /// Run `n_tenants` concurrent apps (equal weight 1.0, per-tenant quota
-/// cap / n) on one capped test device. Deterministic in virtual time;
-/// only ops_per_sec is wall-clock — it takes the max over `reps`
-/// repetitions after one warm-up (the virtual metrics are identical
-/// every rep), like the other ratcheted rows.
-inline MultiAppMetrics run_multi_app_once(int n_tenants, bool smoke) {
-  const std::size_t cap = smoke ? (8ull << 20) : (64ull << 20);
+/// cap / n) on one capped test device.
+inline MultiAppMetrics run_multi_app(int n_tenants) {
+  const std::size_t cap = 64ull << 20;
   const std::size_t page = cap / 64;
-  // Full-scale rounds are sized so EVERY row's timed region covers the
-  // same 1024 launches (plus their fault/eviction traffic, a multi-ms
-  // wall-clock window): small-n rows run more rounds instead of shrinking
-  // below timer-quantum noise, since the 20% ratchet gates each row's
-  // ops_per_sec individually.
-  const int kernels_per_round = smoke ? 8 : 16;
-  const int rounds =
-      smoke ? 2 : std::max(1, 1024 / (n_tenants * kernels_per_round));
+  // Rounds are sized so every roster issues the same 1024 launches (plus
+  // their fault/eviction traffic): small rosters run more rounds.
+  const int kernels_per_round = 16;
+  const int rounds = std::max(1, 1024 / (n_tenants * kernels_per_round));
   const int streams_per_app = 2;
   const int arrays_per_app = 4;
 
@@ -175,7 +155,6 @@ inline MultiAppMetrics run_multi_app_once(int n_tenants, bool smoke) {
     apps.push_back(std::move(app));
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
   // Rounds interleave tenant-by-tenant, all asynchronous: every app's
   // backlog contends in the shared kernel class for the whole run.
   for (int r = 0; r < rounds; ++r) {
@@ -185,16 +164,6 @@ inline MultiAppMetrics run_multi_app_once(int n_tenants, bool smoke) {
     }
   }
   rt.synchronize_device();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  MultiAppMetrics m;
-  m.n_tenants = n_tenants;
-  m.kernels_launched =
-      static_cast<long>(n_tenants) * rounds * kernels_per_round;
-  m.makespan_us = rt.now();
-  const double sec = std::chrono::duration<double>(t1 - t0).count();
-  m.ops_per_sec = sec > 0 ? static_cast<double>(m.kernels_launched) / sec : 0;
-  m.bytes_evicted = rt.bytes_evicted();
 
   // Per-tenant completion time: the latest end of any op on the tenant's
   // own streams. All apps launch the same kernel budget, so *throughput*
@@ -212,44 +181,24 @@ inline MultiAppMetrics run_multi_app_once(int n_tenants, bool smoke) {
     }
   }
 
+  MultiAppMetrics m;
   std::vector<double> equal_tp;
   std::vector<double> all_tp;
   for (int t = 0; t < n_tenants; ++t) {
     const sim::Tenant& ten = mgr.tenant(t);
+    const double finish_us = finish[static_cast<std::size_t>(t)];
     TenantMetrics tm;
-    tm.id = t;
-    tm.weight = ten.weight();
-    tm.ops = ten.ops_completed();
     tm.work_us = ten.work_completed();
-    tm.finish_us = finish[static_cast<std::size_t>(t)];
-    tm.work_per_ms = tm.finish_us > 0 ? tm.work_us * 1e3 / tm.finish_us : 0;
+    tm.work_per_ms = finish_us > 0 ? tm.work_us * 1e3 / finish_us : 0;
     tm.bytes_evicted = ten.bytes_evicted();
     tm.oversubscribed = t == n_tenants - 1;
-    tm.working_set_bytes = tm.oversubscribed ? heavy_ws : light_ws;
     all_tp.push_back(tm.work_per_ms);
     if (!tm.oversubscribed) equal_tp.push_back(tm.work_per_ms);
-    if (tm.oversubscribed) {
-      m.heavy_bytes_evicted = tm.bytes_evicted;
-    } else {
-      m.light_bytes_evicted += tm.bytes_evicted;
-    }
     m.tenants.push_back(tm);
   }
   m.jain_equal = sim::TenantManager::jain_index(equal_tp);
   m.jain_all = sim::TenantManager::jain_index(all_tp);
   return m;
-}
-
-inline MultiAppMetrics run_multi_app(int n_tenants, bool smoke,
-                                     int reps = 3) {
-  if (smoke) return run_multi_app_once(n_tenants, smoke);
-  MultiAppMetrics best = run_multi_app_once(n_tenants, smoke);  // warm-up
-  best.ops_per_sec = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    const MultiAppMetrics m = run_multi_app_once(n_tenants, smoke);
-    if (m.ops_per_sec > best.ops_per_sec) best = m;
-  }
-  return best;
 }
 
 struct WeightedPairMetrics {
@@ -265,13 +214,10 @@ struct WeightedPairMetrics {
 /// floods into one saturated kernel class (no arrays — pure compute
 /// sharing). The progressed-work ratio at a mid-run virtual horizon is
 /// the weighted fair-sharing acceptance number (w_hi/w_lo exactly,
-/// under saturation). The sharing acceptance test reuses this scenario,
-/// so the number the ratchet gates and the number the test asserts can
-/// never diverge.
-inline WeightedPairMetrics run_weighted_pair(bool smoke, double w_hi = 2.0,
-                                             double w_lo = 1.0) {
+/// under saturation).
+inline WeightedPairMetrics run_weighted_pair(double w_hi, double w_lo) {
   const int streams_per_app = 4;
-  const int kernels_per_stream = smoke ? 10 : 30;
+  const int kernels_per_stream = 30;
 
   sim::GpuRuntime rt(sim::DeviceSpec::test_device());
   sim::TenantManager mgr(rt);
@@ -339,7 +285,7 @@ struct QosMixedMetrics {
 /// the controller boosts the latency tenant's weight until its window p99
 /// clears the 3us target (~2.8us), so p99_ratio lands near 0.35 while
 /// batch keeps >= 95% of its throughput (the request is 4% of the
-/// device).
+/// device). `smoke` runs 60 rounds instead of the full 400.
 inline QosMixedMetrics run_qos_mixed(bool smoke) {
   const int rounds = smoke ? 60 : 400;
   const int warmup = rounds / 4;
@@ -405,7 +351,7 @@ inline QosMixedMetrics run_qos_mixed(bool smoke) {
       const sim::OpId id = lat.launch(lat_stream, request);
       // Issue = when the op became visible to the device (after the
       // launch call's fixed CPU overhead) — the same timestamp the
-      // QosManager samples, so the bench percentiles measure the
+      // QosManager samples, so the percentiles measure the
       // scheduling latency the controller actually governs.
       if (r >= warmup) issued.push_back({id, rt.now()});
       rt.host_advance(period_us);
@@ -467,4 +413,4 @@ inline QosMixedMetrics run_qos_mixed(bool smoke) {
   return m;
 }
 
-}  // namespace psched::bench
+}  // namespace psched::sim::scenario

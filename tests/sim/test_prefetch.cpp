@@ -5,7 +5,9 @@
 // (EXPECT_DOUBLE_EQ, no tolerance) to the admission-time eviction path the
 // golden fixtures pin. Policy tests: Belady farthest-next-use victim
 // order, the never-evict-nearer-frontier gate, wasted-prefetch
-// accounting, and advisory-frontier mismatch robustness. Determinism: the
+// accounting, and advisory-frontier mismatch robustness. Oversubscription
+// sweep: eviction/prefetch/fault counts and virtual-time makespan
+// ceilings from 0.5x to 2x device capacity. Determinism: the
 // prefetch schedule must be invariant across shuffled producer timings
 // when driven through the concurrent ingest queue (`ctest -L prefetch`,
 // also part of the sanitize and tsan gates).
@@ -300,6 +302,75 @@ TEST(PrefetchIngestDeterminism, ScheduleInvariantAcrossProducerTimings) {
     expect_identical_timelines(runs[i].rig->rt, runs[0].rig->rt);
   }
   EXPECT_GT(runs[0].prefetch_ops, 0);
+}
+
+// ---------------------------------------------------------------------
+// Oversubscription sweep: 8 arrays cycled for 4 rounds on a 64 MiB device
+// with the whole launch order announced, the working set scaled to
+// {0.5, 1, 1.5, 2}x capacity. Under capacity the planner stays silent;
+// over it, lookahead prefetch must serve every launch (no demand faults)
+// in a handful of coalesced transfers, and the virtual-time makespan
+// must stay under ceilings set at roughly half the admission-path
+// makespans (114,221 us at 1.5x, 154,486 us at 2.0x).
+// ---------------------------------------------------------------------
+
+struct SweepRow {
+  TimeUs makespan_us = 0;
+  std::size_t bytes_evicted = 0;
+  long evict_ops = 0;
+  long fault_ops = 0;
+  long prefetch_ops = 0;
+};
+
+SweepRow oversubscription_row(double ratio) {
+  constexpr std::size_t kCap = 64 * kMiB;
+  constexpr int kArrays = 8;
+  constexpr int kRounds = 4;
+  Rig rig(kCap, kArrays,
+          static_cast<std::size_t>(ratio * static_cast<double>(kCap) /
+                                   kArrays));
+  rig.rt.announce_frontier(rig.cyclic_frontier(kRounds));
+  rig.drive(kRounds);
+  rig.rt.clear_frontier();
+  return {rig.rt.now(), rig.rt.bytes_evicted(), rig.rt.evict_ops(),
+          rig.rt.fault_ops(), rig.rt.prefetch_ops()};
+}
+
+TEST(PrefetchOversubscription, UnderCapacityRowsNeitherEvictNorPrefetch) {
+  for (const double ratio : {0.5, 1.0}) {
+    SCOPED_TRACE(ratio);
+    const SweepRow row = oversubscription_row(ratio);
+    EXPECT_EQ(row.bytes_evicted, 0u);
+    EXPECT_EQ(row.prefetch_ops, 0);
+  }
+}
+
+TEST(PrefetchOversubscription, OverCapacityRowsPrefetchInsteadOfFaulting) {
+  for (const double ratio : {1.5, 2.0}) {
+    SCOPED_TRACE(ratio);
+    const SweepRow row = oversubscription_row(ratio);
+    EXPECT_GT(row.bytes_evicted, 0u);
+    EXPECT_GT(row.evict_ops, 0);
+    EXPECT_GT(row.prefetch_ops, 0);
+    EXPECT_EQ(row.fault_ops, 0);
+    // Serves coalesce into one write-back and one fetch per batch (15
+    // transfer ops at both ratios); per-fault, per-victim paging takes
+    // several times that.
+    EXPECT_LE(row.evict_ops + row.fault_ops + row.prefetch_ops, 32);
+  }
+}
+
+TEST(PrefetchOversubscription, MakespanUnderCeilingsAndMonotoneInRatio) {
+  const SweepRow half = oversubscription_row(0.5);
+  const SweepRow full = oversubscription_row(1.0);
+  const SweepRow over = oversubscription_row(1.5);
+  const SweepRow twice = oversubscription_row(2.0);
+  EXPECT_LE(over.makespan_us, 70000.0);    // measured 59,269 us
+  EXPECT_LE(twice.makespan_us, 120000.0);  // measured 100,799 us
+  // A larger working set can only add transfer work.
+  EXPECT_LE(half.makespan_us, full.makespan_us);
+  EXPECT_LE(full.makespan_us, over.makespan_us);
+  EXPECT_LE(over.makespan_us, twice.makespan_us);
 }
 
 // ---------------------------------------------------------------------

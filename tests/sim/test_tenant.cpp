@@ -1,13 +1,14 @@
 // Multi-tenant scheduling: weighted fair sharing across tenants inside a
 // resource class, quota-biased LRU eviction, per-tenant accounting and
-// OOM attribution, and tenant tagging through streams, transactions, and
-// recorded replays.
+// OOM attribution, tenant tagging through streams, transactions, and
+// recorded replays, and the multi-app roster's fairness and eviction
+// attribution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
-#include "../../bench/multi_app_scenario.hpp"
+#include "multi_app_scenario.hpp"
 #include "sim/tenant.hpp"
 #include "sim_test_util.hpp"
 
@@ -26,20 +27,20 @@ LaunchSpec full_kernel(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------
-// Weighted fair sharing — asserted on the exact scenario the bench
-// ratchet gates (bench/multi_app_scenario.hpp), so the acceptance
-// number and the test can never diverge.
+// Weighted fair sharing — asserted on the weighted-pair acceptance
+// scenario (multi_app_scenario.hpp): two backlogged floods in one
+// saturated kernel class.
 // ---------------------------------------------------------------------
 
 TEST(TenantFairSharing, WeightTwoTenantGetsTwiceTheThroughput) {
   // The acceptance bound: 2x +- 10% under a saturated class.
-  const auto w = psched::bench::run_weighted_pair(/*smoke=*/false, 2.0, 1.0);
+  const auto w = scenario::run_weighted_pair(2.0, 1.0);
   EXPECT_GT(w.work_ratio, 1.8);
   EXPECT_LT(w.work_ratio, 2.2);
 }
 
 TEST(TenantFairSharing, EqualWeightsShareEqually) {
-  const auto w = psched::bench::run_weighted_pair(/*smoke=*/false, 1.0, 1.0);
+  const auto w = scenario::run_weighted_pair(1.0, 1.0);
   EXPECT_NEAR(w.work_ratio, 1.0, 0.05);
 }
 
@@ -330,6 +331,46 @@ TEST(TenantTagging, WeightValidation) {
   EXPECT_DOUBLE_EQ(eng.tenant_weight(3), 2.5);
   EXPECT_DOUBLE_EQ(eng.tenant_weight(7), 1.0);  // unset: default weight
 }
+
+// ---------------------------------------------------------------------
+// Multi-app acceptance: {2, 4, 8} equal-weight apps on one capped device,
+// the last one oversubscribed (multi_app_scenario.hpp). Jain's index
+// reads 1.0 on all-zero input, so every tenant must also have completed
+// attributed work for the fairness bounds to mean anything.
+// ---------------------------------------------------------------------
+
+class TenantMultiApp : public ::testing::TestWithParam<int> {};
+
+TEST_P(TenantMultiApp, TenantsShareFairly) {
+  const int n = GetParam();
+  const scenario::MultiAppMetrics m = scenario::run_multi_app(n);
+  ASSERT_EQ(m.tenants.size(), static_cast<std::size_t>(n));
+  for (std::size_t t = 0; t < m.tenants.size(); ++t) {
+    EXPECT_GT(m.tenants[t].work_us, 0.0) << "tenant " << t;
+  }
+  EXPECT_GE(m.jain_all, 0.85);
+  // With n = 2 only one equal-demand tenant exists, so the index over
+  // them is identically 1.0.
+  if (n > 2) {
+    EXPECT_GE(m.jain_equal, 0.85);
+  }
+}
+
+TEST_P(TenantMultiApp, OversubscribedTenantBearsTheEvictions) {
+  const scenario::MultiAppMetrics m = scenario::run_multi_app(GetParam());
+  ASSERT_FALSE(m.tenants.empty());
+  const scenario::TenantMetrics& heavy = m.tenants.back();
+  ASSERT_TRUE(heavy.oversubscribed);
+  EXPECT_GT(heavy.bytes_evicted, 0u);
+  // Its working set exceeds both its quota and the device, so the
+  // paging it causes must be charged to it, not to the in-quota apps.
+  for (std::size_t t = 0; t + 1 < m.tenants.size(); ++t) {
+    EXPECT_GE(heavy.bytes_evicted, m.tenants[t].bytes_evicted)
+        << "in-quota tenant " << t;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rosters, TenantMultiApp, ::testing::Values(2, 4, 8));
 
 // ---------------------------------------------------------------------
 // Manager surface

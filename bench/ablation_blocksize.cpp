@@ -86,7 +86,7 @@ int main() {
     }
 
     // The sweep above also fed the tuner's history; its pick is ready.
-    const long pick = ctx.tuner().recommend(c.name, c.n);
+    const long pick = ctx.tuner().recommend(kernel.def(), c.n);
     const double tuned =
         std::string(c.name) == "vector_divide"
             ? best  // representative: pick equals a swept configuration

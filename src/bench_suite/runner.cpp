@@ -30,7 +30,7 @@ sim::LaunchSpec make_launch_spec(const Step& step, bool functional) {
   spec.name = step.label;
   spec.config = step.config;
   spec.profile =
-      def.cost_fn(step.config, rt::ArgsView(&step.values, false));
+      def.cost_fn(step.config, rt::ArgsView(step.values, false));
   for (std::size_t i = 0; i < params.size(); ++i) {
     if (!params[i].is_pointer()) continue;
     const sim::ArrayId id = step.values[i].as_array().state()->sim_id;
@@ -49,7 +49,7 @@ sim::LaunchSpec make_launch_spec(const Step& step, bool functional) {
     auto fn = def.host_fn;
     const auto cfg = step.config;
     spec.functional = [fn, cfg, values]() {
-      fn(cfg, rt::ArgsView(values.get(), true));
+      fn(cfg, rt::ArgsView(*values, true));
     };
   }
   return spec;

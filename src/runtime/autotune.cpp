@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace psched::rt {
 
@@ -15,16 +16,16 @@ int BlockSizeTuner::bucket_of(double work_items) {
   return static_cast<int>(std::floor(std::log2(work_items)));
 }
 
-const BlockSizeTuner::Bucket* BlockSizeTuner::find(const std::string& kernel,
+const BlockSizeTuner::Bucket* BlockSizeTuner::find(const KernelDef& kernel,
                                                    double work_items) const {
-  const auto it = stats_.find({kernel, bucket_of(work_items)});
+  const auto it = stats_.find({&kernel, bucket_of(work_items)});
   return it == stats_.end() ? nullptr : &it->second;
 }
 
-void BlockSizeTuner::record(const std::string& kernel, long block_size,
+void BlockSizeTuner::record(const KernelDef& kernel, long block_size,
                             double solo_us, double work_items) {
   if (work_items <= 0 || solo_us <= 0) return;
-  Bucket& bucket = stats_[{kernel, bucket_of(work_items)}];
+  Bucket& bucket = stats_[{&kernel, bucket_of(work_items)}];
   Cell& cell = bucket.by_block[block_size];
   const double us_per_item = solo_us / work_items;
   if (cell.trials == 0 || us_per_item < cell.best_us_per_item) {
@@ -33,7 +34,7 @@ void BlockSizeTuner::record(const std::string& kernel, long block_size,
   ++cell.trials;
 }
 
-long BlockSizeTuner::recommend(const std::string& kernel,
+long BlockSizeTuner::recommend(const KernelDef& kernel,
                                double work_items) const {
   const Bucket* bucket = find(kernel, work_items);
   // Exploration phase: propose the first candidate without a sample.
@@ -54,7 +55,7 @@ long BlockSizeTuner::recommend(const std::string& kernel,
   return best;
 }
 
-bool BlockSizeTuner::explored(const std::string& kernel,
+bool BlockSizeTuner::explored(const KernelDef& kernel,
                               double work_items) const {
   const Bucket* bucket = find(kernel, work_items);
   if (bucket == nullptr) return false;
@@ -62,7 +63,7 @@ bool BlockSizeTuner::explored(const std::string& kernel,
                      [bucket](long c) { return bucket->by_block.count(c); });
 }
 
-long BlockSizeTuner::samples(const std::string& kernel,
+long BlockSizeTuner::samples(const KernelDef& kernel,
                              double work_items) const {
   const Bucket* bucket = find(kernel, work_items);
   if (bucket == nullptr) return 0;

@@ -15,10 +15,12 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace psched::rt {
+
+struct KernelDef;
 
 class BlockSizeTuner {
  public:
@@ -27,24 +29,24 @@ class BlockSizeTuner {
 
   /// Record one observed launch: `solo_us` is the kernel's uncontended
   /// execution-time estimate and `work_items` the data size it covered.
-  void record(const std::string& kernel, long block_size, double solo_us,
+  /// Kernels are keyed by their registry definition, which outlives the
+  /// tuner's context.
+  void record(const KernelDef& kernel, long block_size, double solo_us,
               double work_items);
 
   /// Recommend a block size for `kernel` over `work_items` elements.
   /// Unexplored candidates are proposed first (in ascending order); once
   /// the bucket is fully explored, the best-known configuration wins.
-  [[nodiscard]] long recommend(const std::string& kernel,
+  [[nodiscard]] long recommend(const KernelDef& kernel,
                                double work_items) const;
 
   /// True once every candidate has at least one sample in the bucket.
-  [[nodiscard]] bool explored(const std::string& kernel,
+  [[nodiscard]] bool explored(const KernelDef& kernel,
                               double work_items) const;
 
   /// Number of samples recorded for the (kernel, bucket) pair.
-  [[nodiscard]] long samples(const std::string& kernel,
+  [[nodiscard]] long samples(const KernelDef& kernel,
                              double work_items) const;
-
-  void clear() { stats_.clear(); }
 
  private:
   struct Cell {
@@ -59,10 +61,10 @@ class BlockSizeTuner {
   /// similar magnitude without conflating small and large inputs.
   [[nodiscard]] static int bucket_of(double work_items);
 
-  [[nodiscard]] const Bucket* find(const std::string& kernel,
+  [[nodiscard]] const Bucket* find(const KernelDef& kernel,
                                    double work_items) const;
 
-  std::map<std::pair<std::string, int>, Bucket> stats_;
+  std::map<std::pair<const KernelDef*, int>, Bucket> stats_;
 };
 
 }  // namespace psched::rt

@@ -9,7 +9,7 @@ namespace psched::rt {
 void DagRecorder::add_vertex(const Computation& c) {
   Vertex v;
   v.id = c.id;
-  v.label = c.label;
+  v.name = c.name;
   v.kind = c.kind;
   v.device = c.device;
   v.stream = c.stream;
@@ -19,7 +19,7 @@ void DagRecorder::add_vertex(const Computation& c) {
   if (c.id != static_cast<long>(vertices_.size())) {
     throw sim::ApiError("DagRecorder: non-contiguous computation id");
   }
-  vertices_.push_back(std::move(v));
+  vertices_.push_back(v);
 }
 
 void DagRecorder::annotate_vertex(const Computation& c) {
@@ -107,7 +107,7 @@ std::string DagRecorder::to_dot() const {
         v.stream >= 0
             ? kColors[static_cast<std::size_t>(v.stream) % std::size(kColors)]
             : "white";
-    out << "  n" << v.id << " [label=\"" << v.label << "\\n(s" << v.stream
+    out << "  n" << v.id << " [label=\"" << v.label() << "\\n(s" << v.stream
         << ")\", style=filled, fillcolor=" << color << "];\n";
   }
   for (const auto& [from, to] : edges_) {
@@ -115,11 +115,6 @@ std::string DagRecorder::to_dot() const {
   }
   out << "}\n";
   return out.str();
-}
-
-void DagRecorder::clear() {
-  vertices_.clear();
-  edges_.clear();
 }
 
 }  // namespace psched::rt

@@ -19,7 +19,9 @@ class DagRecorder {
  public:
   struct Vertex {
     long id = -1;
-    std::string label;
+    /// The computation's name (see Computation::name), valid while the
+    /// recording context and its kernel registry live.
+    const std::string* name = nullptr;
     Computation::Kind kind = Computation::Kind::Kernel;
     sim::DeviceId device = sim::kInvalidDevice;
     sim::StreamId stream = sim::kInvalidStream;
@@ -28,6 +30,10 @@ class DagRecorder {
     /// Host-order epoch: vertices submitted after a blocking host
     /// synchronization belong to a later epoch and cannot start before it.
     long epoch = 0;
+
+    [[nodiscard]] std::string label() const {
+      return Computation::label_of(kind, *name);
+    }
   };
 
   void add_vertex(const Computation& c);
@@ -59,8 +65,6 @@ class DagRecorder {
 
   /// Graphviz DOT rendering (streams become colors, Fig. 6 style).
   [[nodiscard]] std::string to_dot() const;
-
-  void clear();
 
  private:
   std::vector<Vertex> vertices_;  // vertex id == index

@@ -18,39 +18,28 @@ void prune_inactive(std::vector<Computation*>& readers) {
 
 }  // namespace
 
-std::vector<Computation*> infer_dependencies(Computation& c,
-                                             bool honor_read_only) {
-  // Coalesce duplicate array arguments: one write use dominates any number
-  // of read uses of the same array within a single computation.
-  std::vector<std::pair<ArrayState*, bool>> combined;  // (array, writes?)
-  for (const Computation::Use& use : c.uses) {
-    const bool writes = !use.read_only || !honor_read_only;
-    auto it = std::find_if(combined.begin(), combined.end(),
-                           [&](const auto& p) { return p.first == use.array; });
-    if (it == combined.end()) {
-      combined.emplace_back(use.array, writes);
-    } else {
-      it->second = it->second || writes;
-    }
-  }
-
-  std::vector<Computation*> deps;
+std::span<Computation* const> infer_dependencies(Computation& c,
+                                                 bool honor_read_only) {
   // Duplicate parents (a computation reachable through several arrays) are
   // filtered with the dep_mark stamp: O(1) per candidate instead of a scan
-  // of the deps collected so far.
+  // of the parents collected so far.
   auto add_dep = [&](Computation* d) {
     if (d == nullptr || d == &c || !d->is_active()) return;
     if (d->dep_mark == c.id) return;  // already a parent of c
     d->dep_mark = c.id;
-    deps.push_back(d);
+    c.parents.push_back(d);
+    if (d->first_child == nullptr) d->first_child = &c;
   };
 
-  for (auto& [array, writes] : combined) {
+  // `uses` holds each array once (a write dominating), so no argument is
+  // processed twice.
+  for (Computation::Use& use : c.uses) {
+    ArrayState* array = use.array;
     Computation* writer =
         (array->last_writer != nullptr && array->last_writer->is_active())
             ? array->last_writer
             : nullptr;
-    if (writes) {
+    if (use.write || !honor_read_only) {
       prune_inactive(array->readers);
       if (!array->readers.empty()) {
         // WAR: readers already transitively depend on the writer.
@@ -59,10 +48,8 @@ std::vector<Computation*> infer_dependencies(Computation& c,
         add_dep(writer);  // RAW / WAW
       }
       // "All dependency sets are updated."
-      if (array->last_writer != nullptr) {
-        array->last_writer->dep_set.erase(array);
-      }
-      for (Computation* r : array->readers) r->dep_set.erase(array);
+      if (array->last_writer != nullptr) array->last_writer->drop_dep(array);
+      for (Computation* r : array->readers) r->drop_dep(array);
       array->last_writer = &c;
       array->readers.clear();
     } else {
@@ -76,15 +63,10 @@ std::vector<Computation*> infer_dependencies(Computation& c,
       array->readers.push_back(&c);
     }
     // The new computation can introduce dependencies through this argument.
-    c.dep_set.insert(array);
+    use.live = true;
   }
-
-  // Wire the DAG links.
-  for (Computation* d : deps) {
-    d->children.push_back(&c);
-    c.parents.push_back(d);
-  }
-  return deps;
+  c.live_uses = static_cast<int>(c.uses.size());
+  return {c.parents.data(), c.parents.size()};
 }
 
 }  // namespace psched::rt

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_set>
 
 #include "runtime/dependency.hpp"
 
@@ -74,6 +73,7 @@ LibraryFunction Context::bind_library(LibraryFunctionDef def) {
     throw sim::ApiError("bind_library: stream-aware function '" + def.name +
                         "' needs a cost model");
   }
+  library_names_.insert(def.name);
   return LibraryFunction(this, std::move(def));
 }
 
@@ -86,7 +86,7 @@ void Context::synchronize() {
     }
   }
   active_.clear();
-  if (opts_.keep_dag) dag_.host_barrier();
+  dag_.host_barrier();
 }
 
 ContextStats Context::stats() const {
@@ -99,20 +99,25 @@ ContextStats Context::stats() const {
 }
 
 Computation& Context::new_computation(Computation::Kind kind,
-                                      std::string label) {
-  auto c = std::make_unique<Computation>();
-  c->id = static_cast<long>(comps_.size());
-  c->kind = kind;
-  c->label = std::move(label);
-  comps_.push_back(std::move(c));
+                                      const std::string& name) {
+  const std::size_t id = comps_.size();
+  if (id % kComputationBlock == 0) {
+    comp_blocks_.push_back(
+        std::make_unique<Computation[]>(kComputationBlock));
+  }
+  Computation& c = comp_blocks_.back()[id % kComputationBlock];
+  c.id = static_cast<long>(id);
+  c.kind = kind;
+  c.name = &name;
+  comps_.push_back(&c);
   ++stats_.computations;
-  if (opts_.keep_dag) dag_.add_vertex(*comps_.back());
-  return *comps_.back();
+  dag_.add_vertex(c);
+  return c;
 }
 
 void Context::check_args(const std::string& name,
                          const std::vector<ParamSpec>& params,
-                         const std::vector<Value>& values) {
+                         std::span<const Value> values) {
   if (params.size() != values.size()) {
     throw sim::ApiError("invoke '" + name + "': expected " +
                         std::to_string(params.size()) + " arguments, got " +
@@ -128,9 +133,8 @@ void Context::check_args(const std::string& name,
   }
 }
 
-std::vector<Computation::Use> Context::collect_uses(
-    const std::vector<ParamSpec>& params, const std::vector<Value>& values) {
-  std::vector<Computation::Use> uses;
+void Context::collect_uses(Computation& c, const std::vector<ParamSpec>& params,
+                           std::span<const Value> values) {
   for (std::size_t i = 0; i < params.size(); ++i) {
     if (!params[i].is_pointer()) continue;
     ArrayState* s = values[i].as_array().state();
@@ -138,35 +142,31 @@ std::vector<Computation::Use> Context::collect_uses(
       throw sim::ApiError("invoke: argument uses freed array '" + s->name +
                           "'");
     }
-    uses.push_back({s, params[i].read_only});
+    c.add_use(s, !params[i].read_only);
   }
-  return uses;
 }
 
 void Context::submit_kernel(const Kernel& kernel, const sim::LaunchConfig& cfg,
-                            std::vector<Value> values) {
+                            std::span<const Value> values) {
   check_args(kernel.name(), kernel.signature(), values);
-  const KernelDef* def = kernel.def_;
+  const KernelDef& def = kernel.def();
 
-  Computation& c = new_computation(Computation::Kind::Kernel, kernel.name());
-  c.uses = collect_uses(kernel.signature(), values);
+  Computation& c = new_computation(Computation::Kind::Kernel, def.name);
+  collect_uses(c, kernel.signature(), values);
   ++stats_.kernels;
 
-  const ArgsView cost_view(&values, /*functional=*/false);
-  const sim::KernelProfile profile = def->cost_fn(cfg, cost_view);
+  const sim::KernelProfile profile =
+      def.cost_fn(cfg, ArgsView(values, /*functional=*/false));
 
   std::function<void()> functional;
-  if (opts_.functional && def->host_fn) {
-    auto vals = std::make_shared<std::vector<Value>>(std::move(values));
-    auto fn = def->host_fn;
-    functional = [fn, cfg, vals]() { fn(cfg, ArgsView(vals.get(), true)); };
+  if (opts_.functional && def.host_fn) {
+    functional = [fn = def.host_fn, cfg,
+                  vals = std::make_shared<const std::vector<Value>>(
+                      values.begin(), values.end())]() {
+      fn(cfg, ArgsView(*vals, true));
+    };
   }
-
-  if (opts_.policy == SchedulePolicy::Serial) {
-    schedule_serial(c, cfg, profile, std::move(functional));
-  } else {
-    schedule_async(c, cfg, profile, std::move(functional));
-  }
+  schedule(c, cfg, profile, std::move(functional));
 
   // Feed the execution history that drives block-size recommendations:
   // the work size is the largest array the launch touched.
@@ -174,41 +174,37 @@ void Context::submit_kernel(const Kernel& kernel, const sim::LaunchConfig& cfg,
   for (const Computation::Use& use : c.uses) {
     work_items = std::max(work_items, static_cast<double>(use.array->size));
   }
-  tuner_.record(kernel.name(), cfg.threads_per_block(), c.solo_us,
-                work_items);
+  tuner_.record(def, cfg.threads_per_block(), c.solo_us, work_items);
 }
 
 void Context::submit_library(const LibraryFunctionDef& def,
-                             std::vector<Value> values) {
+                             std::span<const Value> values) {
   check_args(def.name, def.params, values);
   ++stats_.library_calls;
 
   if (def.stream_aware) {
-    Computation& c =
-        new_computation(Computation::Kind::Library, "lib:" + def.name);
-    c.uses = collect_uses(def.params, values);
-    const ArgsView cost_view(&values, false);
-    const sim::KernelProfile profile = def.cost_fn(cost_view);
+    Computation& c = new_computation(Computation::Kind::Library,
+                                     *library_names_.find(def.name));
+    collect_uses(c, def.params, values);
+    const sim::KernelProfile profile = def.cost_fn(ArgsView(values, false));
     // Library internals choose their own launch geometry; model a
     // device-filling configuration.
     const auto cfg = sim::LaunchConfig::linear(1024, 256);
     std::function<void()> functional;
     if (opts_.functional && def.host_fn) {
-      auto vals = std::make_shared<std::vector<Value>>(std::move(values));
-      auto fn = def.host_fn;
-      functional = [fn, vals]() { fn(ArgsView(vals.get(), true)); };
+      functional = [fn = def.host_fn,
+                    vals = std::make_shared<const std::vector<Value>>(
+                        values.begin(), values.end())]() {
+        fn(ArgsView(*vals, true));
+      };
     }
-    if (opts_.policy == SchedulePolicy::Serial) {
-      schedule_serial(c, cfg, profile, std::move(functional));
-    } else {
-      schedule_async(c, cfg, profile, std::move(functional));
-    }
+    schedule(c, cfg, profile, std::move(functional));
     return;
   }
 
   // No stream control: run synchronously for correctness (section IV-A).
   synchronize();
-  const ArgsView view(&values, opts_.functional);
+  const ArgsView view(values, opts_.functional);
   for (std::size_t i = 0; i < def.params.size(); ++i) {
     if (!def.params[i].is_pointer()) continue;
     ArrayState* s = values[i].as_array().state();
@@ -217,6 +213,36 @@ void Context::submit_library(const LibraryFunctionDef& def,
   }
   if (def.host_fn && opts_.functional) def.host_fn(view);
   if (def.host_duration_us) gpu_->host_advance(def.host_duration_us(view));
+}
+
+void Context::schedule(Computation& c, const sim::LaunchConfig& cfg,
+                       const sim::KernelProfile& profile,
+                       std::function<void()> functional) {
+  if (opts_.policy == SchedulePolicy::Serial) {
+    schedule_serial(c, cfg, profile, std::move(functional));
+  } else {
+    schedule_async(c, cfg, profile, std::move(functional));
+  }
+}
+
+void Context::launch(Computation& c, const sim::LaunchConfig& cfg,
+                     const sim::KernelProfile& profile,
+                     std::function<void()> functional) {
+  sim::LaunchSpec& spec = launch_spec_;
+  if (c.kind == Computation::Kind::Library) {
+    spec.name.assign("lib:").append(*c.name);
+  } else {
+    spec.name.assign(*c.name);
+  }
+  spec.config = cfg;
+  spec.profile = profile;
+  spec.arrays.clear();
+  for (const Computation::Use& use : c.uses) {
+    spec.arrays.push_back({use.array->sim_id, use.write});
+  }
+  spec.functional = std::move(functional);
+  c.op = gpu_->launch(c.stream, spec);
+  spec.functional = nullptr;  // the runtime keeps its own copy
 }
 
 void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
@@ -232,11 +258,9 @@ void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
   // Model the cost of dependency computation and stream selection.
   gpu_->host_advance(opts_.scheduling_overhead_us);
 
-  const std::vector<Computation*> deps =
+  const std::span<Computation* const> deps =
       infer_dependencies(c, opts_.honor_read_only);
-  if (opts_.keep_dag) {
-    for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
-  }
+  for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
   stats_.edges += static_cast<long>(deps.size());
 
   // Placement before stream acquisition: the device policy decides where
@@ -249,10 +273,8 @@ void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
   // The runtime resolves each migration's source: host (prefetch / fault
   // path) or a peer device holding the freshest copy (CopyP2P).
   double staged_bytes = 0;
-  std::unordered_set<ArrayState*> seen;
   const bool page_fault = gpu_->spec(c.device).page_fault_um;
   for (const Computation::Use& use : c.uses) {
-    if (!seen.insert(use.array).second) continue;
     const sim::ArrayInfo& info = gpu_->memory().info(use.array->sim_id);
     if (info.needs_transfer_to(c.device)) {
       staged_bytes += static_cast<double>(info.bytes);
@@ -283,24 +305,7 @@ void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
     }
   }
 
-  sim::LaunchSpec spec;
-  spec.name = c.label;
-  spec.config = cfg;
-  spec.profile = profile;
-  seen.clear();
-  for (const Computation::Use& use : c.uses) {
-    if (!seen.insert(use.array).second) {
-      // Coalesce duplicate arguments: a write dominates.
-      for (auto& au : spec.arrays) {
-        if (au.id == use.array->sim_id) au.write |= !use.read_only;
-      }
-      continue;
-    }
-    spec.arrays.push_back({use.array->sim_id, !use.read_only});
-  }
-  spec.functional = std::move(functional);
-
-  c.op = gpu_->launch(c.stream, spec);
+  launch(c, cfg, profile, std::move(functional));
   c.event = gpu_->create_event();
   gpu_->record_event(c.event, c.stream);
   c.state = Computation::State::Scheduled;
@@ -309,7 +314,7 @@ void Context::schedule_async(Computation& c, const sim::LaunchConfig& cfg,
   c.solo_us =
       gpu_->engine().model(c.device).kernel_demand(cfg, profile).solo_us;
   c.transfer_bytes = staged_bytes;
-  if (opts_.keep_dag) dag_.annotate_vertex(c);
+  dag_.annotate_vertex(c);
 }
 
 void Context::schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
@@ -322,37 +327,19 @@ void Context::schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
   devices_used_mask_ |= 1u;
 
   double staged_bytes = 0;
-  std::unordered_set<ArrayState*> seen;
   for (const Computation::Use& use : c.uses) {
-    if (!seen.insert(use.array).second) continue;
     const sim::ArrayInfo& info = gpu_->memory().info(use.array->sim_id);
     if (info.needs_h2d()) staged_bytes += static_cast<double>(info.bytes);
   }
 
-  sim::LaunchSpec spec;
-  spec.name = c.label;
-  spec.config = cfg;
-  spec.profile = profile;
-  seen.clear();
-  for (const Computation::Use& use : c.uses) {
-    if (!seen.insert(use.array).second) {
-      for (auto& au : spec.arrays) {
-        if (au.id == use.array->sim_id) au.write |= !use.read_only;
-      }
-      continue;
-    }
-    spec.arrays.push_back({use.array->sim_id, !use.read_only});
-  }
-  spec.functional = std::move(functional);
-
-  c.op = gpu_->launch(c.stream, spec);
+  launch(c, cfg, profile, std::move(functional));
   gpu_->synchronize_stream(c.stream);
   ++stats_.blocking_syncs;
   c.state = Computation::State::Finished;
 
   c.solo_us = gpu_->engine().model().kernel_demand(cfg, profile).solo_us;
   c.transfer_bytes = staged_bytes;
-  if (opts_.keep_dag) dag_.annotate_vertex(c);
+  dag_.annotate_vertex(c);
 }
 
 void Context::wait_for(Computation& c) {
@@ -425,18 +412,7 @@ void Context::on_host_read(ArrayState* array) {
     return;
   }
 
-  Computation& c =
-      new_computation(Computation::Kind::HostRead, "read:" + array->name);
-  c.uses = {{array, /*read_only=*/true}};
-  const std::vector<Computation*> deps =
-      infer_dependencies(c, /*honor_read_only=*/true);
-  if (opts_.keep_dag) {
-    for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
-  }
-  stats_.edges += static_cast<long>(deps.size());
-  ++stats_.host_accesses;
-
-  for (Computation* d : deps) wait_for(*d);
+  Computation& c = host_access(Computation::Kind::HostRead, array);
   if (!page_fault) {
     // Pre-Pascal: the CPU may not touch an array while *any* kernel uses
     // it; wait for the remaining readers as well.
@@ -451,7 +427,7 @@ void Context::on_host_read(ArrayState* array) {
   gpu_->host_read(array->sim_id);
   // The host observed a result: later submissions form a new host epoch
   // for the contention-free bound.
-  if (opts_.keep_dag && !deps.empty()) dag_.host_barrier();
+  if (!c.parents.empty()) dag_.host_barrier();
 }
 
 void Context::on_host_write(ArrayState* array) {
@@ -480,21 +456,22 @@ void Context::on_host_write(ArrayState* array) {
     return;
   }
 
-  Computation& c =
-      new_computation(Computation::Kind::HostWrite, "write:" + array->name);
-  c.uses = {{array, /*read_only=*/false}};
-  const std::vector<Computation*> deps =
-      infer_dependencies(c, /*honor_read_only=*/true);
-  if (opts_.keep_dag) {
-    for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
-  }
-  stats_.edges += static_cast<long>(deps.size());
-  ++stats_.host_accesses;
-
-  for (Computation* d : deps) wait_for(*d);
+  Computation& c = host_access(Computation::Kind::HostWrite, array);
   c.state = Computation::State::Finished;
   gpu_->host_write(array->sim_id);
-  if (opts_.keep_dag && !deps.empty()) dag_.host_barrier();
+  if (!c.parents.empty()) dag_.host_barrier();
+}
+
+Computation& Context::host_access(Computation::Kind kind, ArrayState* array) {
+  Computation& c = new_computation(kind, array->name);
+  c.add_use(array, /*write=*/kind == Computation::Kind::HostWrite);
+  const std::span<Computation* const> deps =
+      infer_dependencies(c, /*honor_read_only=*/true);
+  for (const Computation* d : deps) dag_.add_edge(d->id, c.id);
+  stats_.edges += static_cast<long>(deps.size());
+  ++stats_.host_accesses;
+  for (Computation* d : deps) wait_for(*d);
+  return c;
 }
 
 }  // namespace psched::rt

@@ -18,6 +18,8 @@
 #pragma once
 
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,9 +64,6 @@ struct Options {
   /// every argument as written (ablation; also the behaviour for
   /// unannotated signatures).
   bool honor_read_only = true;
-  /// Retain the full DAG (vertices/edges) for introspection and the
-  /// contention-free bound. Always cheap at benchmark scale.
-  bool keep_dag = true;
   /// Kernel registry used to resolve build_kernel() names. Must be set
   /// before building kernels (the kernels library exports
   /// psched::kernels::registry() with all 33 paper kernels).
@@ -144,29 +143,37 @@ class Context {
   [[nodiscard]] const StreamManager& stream_manager() const {
     return *streams_;
   }
-  /// All computations registered so far (stable addresses).
-  [[nodiscard]] const std::vector<std::unique_ptr<Computation>>&
-  computations() const {
+  /// All computations registered so far, in id order (stable addresses).
+  [[nodiscard]] const std::vector<Computation*>& computations() const {
     return comps_;
   }
 
   // --- internal entry points (DeviceArray / ConfiguredKernel / Library) ---
+  // The values are read during the call; only a functional execution
+  // closure copies them.
   void submit_kernel(const Kernel& kernel, const sim::LaunchConfig& cfg,
-                     std::vector<Value> values);
-  void submit_library(const LibraryFunctionDef& def, std::vector<Value> values);
+                     std::span<const Value> values);
+  void submit_library(const LibraryFunctionDef& def,
+                      std::span<const Value> values);
   void on_host_read(ArrayState* array);
   void on_host_write(ArrayState* array);
 
  private:
-  Computation& new_computation(Computation::Kind kind, std::string label);
+  /// Register a new DAG element; `name` must live as long as the context
+  /// (see Computation::name).
+  Computation& new_computation(Computation::Kind kind,
+                               const std::string& name);
   /// Validate invocation values against a NIDL signature.
   static void check_args(const std::string& name,
                          const std::vector<ParamSpec>& params,
-                         const std::vector<Value>& values);
-  /// Build the Use list (arrays only) from values + signature.
-  std::vector<Computation::Use> collect_uses(
-      const std::vector<ParamSpec>& params, const std::vector<Value>& values);
-  /// Common path for kernels and stream-aware library calls.
+                         std::span<const Value> values);
+  /// Fill `c.uses` (arrays only, coalesced) from values + signature.
+  static void collect_uses(Computation& c, const std::vector<ParamSpec>& params,
+                           std::span<const Value> values);
+  /// Policy dispatch shared by kernels and stream-aware library calls.
+  void schedule(Computation& c, const sim::LaunchConfig& cfg,
+                const sim::KernelProfile& profile,
+                std::function<void()> functional);
   void schedule_async(Computation& c, const sim::LaunchConfig& cfg,
                       const sim::KernelProfile& profile,
                       std::function<void()> functional);
@@ -174,6 +181,14 @@ class Context {
   void schedule_serial(Computation& c, const sim::LaunchConfig& cfg,
                        const sim::KernelProfile& profile,
                        std::function<void()> functional);
+  /// Issue `c` as a kernel launch on c.stream, built in launch_spec_ from
+  /// the coalesced uses.
+  void launch(Computation& c, const sim::LaunchConfig& cfg,
+              const sim::KernelProfile& profile,
+              std::function<void()> functional);
+  /// Register the host access of `array` as a DAG element and wait for
+  /// the computations it depends on.
+  Computation& host_access(Computation::Kind kind, ArrayState* array);
   /// Block until `c`'s event completes; then retire finished computations.
   void wait_for(Computation& c);
   /// Mark every computation whose device op has completed as Finished.
@@ -184,12 +199,21 @@ class Context {
   std::unique_ptr<StreamManager> streams_;
   std::unique_ptr<DevicePlacer> placer_;
   std::uint32_t devices_used_mask_ = 0;
-  std::vector<std::unique_ptr<Computation>> comps_;
+  /// Computations live in fixed-size blocks: stable addresses, and one
+  /// heap allocation per kComputationBlock elements instead of one each.
+  static constexpr std::size_t kComputationBlock = 128;
+  std::vector<std::unique_ptr<Computation[]>> comp_blocks_;
+  std::vector<Computation*> comps_;  ///< by id
   std::vector<Computation*> active_;  ///< Scheduled, not yet Finished
   std::vector<std::shared_ptr<ArrayState>> arrays_;
+  /// Names of bound library functions (the DAG labels reference them).
+  std::set<std::string> library_names_;
   DagRecorder dag_;
   ContextStats stats_;
   BlockSizeTuner tuner_;
+  /// Per-launch scratch: refilled by every launch, so its buffers are
+  /// reused instead of reallocated.
+  sim::LaunchSpec launch_spec_;
 };
 
 }  // namespace psched::rt

@@ -7,11 +7,11 @@
 namespace psched::rt {
 
 const Value& ArgsView::at(std::size_t i) const {
-  if (i >= values_->size()) {
+  if (i >= values_.size()) {
     throw sim::ApiError("ArgsView: argument index " + std::to_string(i) +
                         " out of range");
   }
-  return (*values_)[i];
+  return values_[i];
 }
 
 ArrayState* ArgsView::mutable_state(std::size_t i) const {
@@ -78,15 +78,15 @@ ConfiguredKernel Kernel::autotuned(long work_items) const {
   if (work_items <= 0) {
     throw sim::ApiError("Kernel: autotuned() needs a positive work size");
   }
-  const long block = ctx_->tuner().recommend(
-      def_->name, static_cast<double>(work_items));
+  const long block =
+      ctx_->tuner().recommend(*def_, static_cast<double>(work_items));
   const long blocks =
       std::min<long>((work_items + block - 1) / block, 65535);
   return configure(sim::LaunchConfig::linear(std::max<long>(blocks, 1), block));
 }
 
-void ConfiguredKernel::launch(std::vector<Value> values) const {
-  kernel_->ctx_->submit_kernel(*kernel_, cfg_, std::move(values));
+void ConfiguredKernel::launch(std::span<const Value> values) const {
+  kernel_->ctx_->submit_kernel(*kernel_, cfg_, values);
 }
 
 }  // namespace psched::rt

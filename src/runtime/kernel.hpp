@@ -8,8 +8,10 @@
 //     K(num_blocks, num_threads)(X, N)
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,10 +27,10 @@ class Context;
 /// implementations and cost functions.
 class ArgsView {
  public:
-  ArgsView(const std::vector<Value>* values, bool functional)
+  ArgsView(std::span<const Value> values, bool functional)
       : values_(values), functional_(functional) {}
 
-  [[nodiscard]] std::size_t size() const { return values_->size(); }
+  [[nodiscard]] std::size_t size() const { return values_.size(); }
   [[nodiscard]] const Value& at(std::size_t i) const;
   [[nodiscard]] bool is_array(std::size_t i) const {
     return at(i).is_array();
@@ -62,7 +64,7 @@ class ArgsView {
  private:
   [[nodiscard]] ArrayState* mutable_state(std::size_t i) const;
 
-  const std::vector<Value>* values_;
+  std::span<const Value> values_;
   bool functional_;
 };
 
@@ -98,6 +100,8 @@ class Kernel {
   Kernel() = default;
 
   [[nodiscard]] const std::string& name() const { return def_->name; }
+  /// The registry definition this kernel dispatches to.
+  [[nodiscard]] const KernelDef& def() const { return *def_; }
   [[nodiscard]] const std::vector<ParamSpec>& signature() const {
     return params_;
   }
@@ -130,13 +134,14 @@ class ConfiguredKernel {
   /// with the scheduler and returns immediately (asynchronously).
   template <typename... Args>
   void operator()(Args&&... args) const {
-    std::vector<Value> values;
-    values.reserve(sizeof...(Args));
-    (values.push_back(make_value(std::forward<Args>(args))), ...);
-    launch(std::move(values));
+    const std::array<Value, sizeof...(Args)> values = {
+        make_value(std::forward<Args>(args))...};
+    launch(values);
   }
 
-  void launch(std::vector<Value> values) const;
+  /// The context reads `values` during the call and copies them only for
+  /// a functional execution closure.
+  void launch(std::span<const Value> values) const;
 
   [[nodiscard]] const sim::LaunchConfig& config() const { return cfg_; }
 

@@ -4,11 +4,11 @@
 
 namespace psched::rt {
 
-void LibraryFunction::call(std::vector<Value> values) const {
+void LibraryFunction::call(std::span<const Value> values) const {
   if (ctx_ == nullptr) {
     throw sim::ApiError("LibraryFunction: default-constructed");
   }
-  ctx_->submit_library(def_, std::move(values));
+  ctx_->submit_library(def_, values);
 }
 
 }  // namespace psched::rt

@@ -7,7 +7,9 @@
 // device, runs the function on the host clock, and resumes.
 #pragma once
 
+#include <array>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,13 +37,12 @@ class LibraryFunction {
 
   template <typename... Args>
   void operator()(Args&&... args) const {
-    std::vector<Value> values;
-    values.reserve(sizeof...(Args));
-    (values.push_back(make_value(std::forward<Args>(args))), ...);
-    call(std::move(values));
+    const std::array<Value, sizeof...(Args)> values = {
+        make_value(std::forward<Args>(args))...};
+    call(values);
   }
 
-  void call(std::vector<Value> values) const;
+  void call(std::span<const Value> values) const;
   [[nodiscard]] const std::string& name() const { return def_.name; }
   [[nodiscard]] bool stream_aware() const { return def_.stream_aware; }
 

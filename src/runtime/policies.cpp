@@ -28,8 +28,7 @@ sim::DeviceId DevicePlacer::place(const Computation& c) {
   // which pins it to the parent's device.
   for (const Computation* p : c.parents) {
     if (p->stream == sim::kInvalidStream) continue;  // synchronous parent
-    if (!p->children.empty() && p->children.front() == &c &&
-        p->device != sim::kInvalidDevice) {
+    if (p->first_child == &c && p->device != sim::kInvalidDevice) {
       return p->device;
     }
   }
@@ -47,45 +46,38 @@ sim::DeviceId DevicePlacer::place(const Computation& c) {
   return sim::kDefaultDevice;
 }
 
-void DevicePlacer::transfer_costs(const Computation& c,
-                                  std::vector<double>& cost) {
+void DevicePlacer::transfer_costs(const Computation& c) {
   const int ndev = gpu_->num_devices();
-  // Bytes each device would have to migrate to run `c` right now. Arrays
-  // passed as several arguments migrate once, so they must cost once.
-  cost.assign(static_cast<std::size_t>(ndev), 0.0);
-  std::vector<const ArrayState*> seen;
+  // Bytes each device would have to migrate to run `c` right now. `uses`
+  // lists an array passed as several arguments once, so it costs once.
+  cost_.assign(static_cast<std::size_t>(ndev), 0.0);
   for (const Computation::Use& use : c.uses) {
-    if (std::find(seen.begin(), seen.end(), use.array) != seen.end()) {
-      continue;
-    }
-    seen.push_back(use.array);
     const sim::ArrayInfo& info = gpu_->memory().info(use.array->sim_id);
     for (sim::DeviceId d = 0; d < ndev; ++d) {
       if (info.needs_transfer_to(d)) {
-        cost[static_cast<std::size_t>(d)] += static_cast<double>(info.bytes);
+        cost_[static_cast<std::size_t>(d)] += static_cast<double>(info.bytes);
       }
     }
   }
 }
 
-sim::DeviceId DevicePlacer::pick_tie(const std::vector<sim::DeviceId>& t) {
-  if (t.size() == 1) return t.front();
+sim::DeviceId DevicePlacer::pick_tie() {
+  if (ties_.size() == 1) return ties_.front();
   // All-equal scores (e.g. host-fresh inputs): spread the load like
   // round-robin instead of piling everything onto device 0.
-  return t[static_cast<std::size_t>(next_rr_++) % t.size()];
+  return ties_[static_cast<std::size_t>(next_rr_++) % ties_.size()];
 }
 
 sim::DeviceId DevicePlacer::min_transfer_device(const Computation& c) {
   const int ndev = gpu_->num_devices();
-  std::vector<double> cost;
-  transfer_costs(c, cost);
+  transfer_costs(c);
   double best = std::numeric_limits<double>::infinity();
-  for (const double v : cost) best = std::min(best, v);
-  std::vector<sim::DeviceId> ties;
+  for (const double v : cost_) best = std::min(best, v);
+  ties_.clear();
   for (sim::DeviceId d = 0; d < ndev; ++d) {
-    if (cost[static_cast<std::size_t>(d)] == best) ties.push_back(d);
+    if (cost_[static_cast<std::size_t>(d)] == best) ties_.push_back(d);
   }
-  return pick_tie(ties);
+  return pick_tie();
 }
 
 sim::DeviceId DevicePlacer::min_pressure_device(const Computation& c) {
@@ -111,25 +103,24 @@ sim::DeviceId DevicePlacer::min_pressure_device(const Computation& c) {
                           pressure_base_[static_cast<std::size_t>(d)];
     best = std::min(best, p);
   }
-  std::vector<sim::DeviceId> low;
+  low_.clear();
   for (sim::DeviceId d = 0; d < ndev; ++d) {
     const std::size_t p = gpu_->tenant_bytes_evicted(tenant_, d) -
                           pressure_base_[static_cast<std::size_t>(d)];
-    if (p == best) low.push_back(d);
+    if (p == best) low_.push_back(d);
   }
-  if (low.size() == 1) return low.front();
+  if (low_.size() == 1) return low_.front();
   // Among equally unpressured devices, fewest bytes to migrate wins.
-  std::vector<double> cost;
-  transfer_costs(c, cost);
+  transfer_costs(c);
   double best_cost = std::numeric_limits<double>::infinity();
-  for (const sim::DeviceId d : low) {
-    best_cost = std::min(best_cost, cost[static_cast<std::size_t>(d)]);
+  for (const sim::DeviceId d : low_) {
+    best_cost = std::min(best_cost, cost_[static_cast<std::size_t>(d)]);
   }
-  std::vector<sim::DeviceId> ties;
-  for (const sim::DeviceId d : low) {
-    if (cost[static_cast<std::size_t>(d)] == best_cost) ties.push_back(d);
+  ties_.clear();
+  for (const sim::DeviceId d : low_) {
+    if (cost_[static_cast<std::size_t>(d)] == best_cost) ties_.push_back(d);
   }
-  return pick_tie(ties);
+  return pick_tie();
 }
 
 }  // namespace psched::rt

@@ -73,13 +73,13 @@ class DevicePlacer {
   [[nodiscard]] DevicePolicy policy() const { return policy_; }
 
  private:
-  /// Bytes each roster device would have to migrate to run `c` now
-  /// (shared by MinTransfer and MinPressure's tie-break).
-  void transfer_costs(const Computation& c, std::vector<double>& cost);
+  /// Bytes each roster device would have to migrate to run `c` now, into
+  /// cost_ (shared by MinTransfer and MinPressure's tie-break).
+  void transfer_costs(const Computation& c);
   [[nodiscard]] sim::DeviceId min_transfer_device(const Computation& c);
   [[nodiscard]] sim::DeviceId min_pressure_device(const Computation& c);
-  /// Pick among `ties` round-robin (single entry short-circuits).
-  [[nodiscard]] sim::DeviceId pick_tie(const std::vector<sim::DeviceId>& t);
+  /// Pick among ties_ round-robin (single entry short-circuits).
+  [[nodiscard]] sim::DeviceId pick_tie();
 
   /// Placements between pressure-baseline refreshes: the window that
   /// turns the monotone eviction counters into a recent-pressure rate.
@@ -93,6 +93,10 @@ class DevicePlacer {
   /// The tenant's eviction-counter baseline of the current window, per
   /// device.
   std::vector<std::size_t> pressure_base_;
+  // Per-placement scratch, reused so placing allocates nothing.
+  std::vector<double> cost_;           ///< per-device transfer bytes
+  std::vector<sim::DeviceId> ties_;    ///< devices tied at the best score
+  std::vector<sim::DeviceId> low_;     ///< devices at the lowest pressure
 };
 
 [[nodiscard]] inline const char* to_string(SchedulePolicy p) {

@@ -44,7 +44,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/device_spec.hpp"
@@ -123,8 +122,10 @@ struct ArrayInfo {
   /// Migrations count as reads: they permit concurrent host reads but not
   /// host writes. Freed arrays are erased from the manager outright (the
   /// eviction scan walks the live map), so there is no tombstone flag.
-  std::unordered_set<OpId> pending_reads;
-  std::unordered_set<OpId> pending_writes;
+  /// Flat lists: an array has a few ops in flight, and a cleared list
+  /// keeps its buffer, so tracking allocates nothing in steady state.
+  std::vector<OpId> pending_reads;
+  std::vector<OpId> pending_writes;
 
   // --- page geometry -----------------------------------------------------
   /// Bytes covered by pages [first, first+count) (the last page is partial).
@@ -292,8 +293,8 @@ struct ArrayInfo {
     return !pending_reads.empty() || !pending_writes.empty();
   }
   void erase_pending(OpId op) {
-    pending_reads.erase(op);
-    pending_writes.erase(op);
+    std::erase(pending_reads, op);
+    std::erase(pending_writes, op);
   }
 
  private:

@@ -24,6 +24,15 @@ void add_source_bytes(std::vector<std::pair<DeviceId, double>>& acc,
   }
 }
 
+/// `prefix` + `first`, then "+N" when the op covers N more arrays.
+std::string merged_name(const char* prefix, const std::string& first,
+                        std::size_t count) {
+  std::string name(prefix);
+  name.append(first);
+  if (count > 1) name.append("+").append(std::to_string(count - 1));
+  return name;
+}
+
 /// Scope guard nulling an active recording target: eviction servicing is
 /// transient memory-pressure traffic, not part of the program being
 /// recorded — a static replay must not re-execute phantom page-outs.
@@ -461,12 +470,10 @@ EventId GpuRuntime::price_eviction(const EvictionPlan& plan,
     const ArrayId aid = po.array;
     issue_op(std::move(op), [this, aid](Engine& eng, OpId op_id) {
       if (!memory_.valid(aid)) return;
-      memory_.info(aid).pending_reads.insert(op_id);
+      memory_.info(aid).pending_reads.push_back(op_id);
       evict_inflight_.insert(op_id);
-      eng.set_on_complete(op_id, [this, aid, op_id]() {
-        if (ArrayInfo* a = memory_.find(aid)) a->erase_pending(op_id);
-        evict_inflight_.erase(op_id);
-      });
+      eng.set_on_complete(op_id, on_complete_of({op_id, aid, kNoLaunch,
+                                                 /*evict=*/true}));
     });
     ++evict_ops_;
     bytes_d2h_ += static_cast<double>(po.bytes);
@@ -550,18 +557,12 @@ void GpuRuntime::stage_to_device(ArrayId id, StreamId stream,
   }
   std::sort(peer_bytes.begin(), peer_bytes.end());
 
-  const ArrayId aid = id;
-  const auto bind = [this, aid, dev](Engine& eng, OpId op_id) {
-    if (!memory_.valid(aid)) return;
-    ArrayInfo& ai = memory_.info(aid);
-    ai.pending_reads.insert(op_id);  // reads the source copy
-    // Freshness is issue-time state (later staging decisions branch on
-    // it); living in the bind, a recorded replay re-publishes the copy
-    // exactly like the original issue did.
-    ai.note_migrated(dev);
-    eng.set_on_complete(op_id, [this, aid, op_id]() {
-      if (ArrayInfo* a = memory_.find(aid)) a->erase_pending(op_id);
-    });
+  // The (array, device) pair packed into one word keeps the closure
+  // within std::function's inline storage.
+  const auto bind = [this, handle = id * kMaxDevices + dev](Engine& eng,
+                                                             OpId op_id) {
+    bind_staging(eng, handle / kMaxDevices,
+                 static_cast<DeviceId>(handle % kMaxDevices), op_id);
   };
   if (host_bytes > 0) {
     // The host copy may still be materializing from an in-flight eviction
@@ -717,9 +718,9 @@ void GpuRuntime::note_host_access(ArrayId id, bool for_write) {
     }
     // Non-strict: block until the conflicting ops drain to preserve
     // functional correctness.
-    auto drain = [this](std::unordered_set<OpId>& setref) {
-      while (!setref.empty()) {
-        const OpId pending = *setref.begin();
+    auto drain = [this](std::vector<OpId>& ops) {
+      while (!ops.empty()) {
+        const OpId pending = ops.front();
         const TimeUs t = engine_.run_until_op_done(pending);
         host_now_ = std::max(host_now_, t);
       }
@@ -739,7 +740,8 @@ void GpuRuntime::host_read(ArrayId id) {
   // run's source is the lowest-indexed device holding its newest copy
   // (device 0 rides the default stream, preserving the single-GPU
   // schedule); a uniform array folds into one whole-array D2H as before.
-  std::vector<std::pair<DeviceId, double>> src_bytes;  // ascending src
+  std::vector<std::pair<DeviceId, double>>& src_bytes = read_sources_;
+  src_bytes.clear();  // ascending src after the sort below
   for (const PageExtent& e : a.extents) {
     if (e.host_fresh) continue;
     const DeviceId src = e.fresh_mask != 0
@@ -839,39 +841,36 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
   op.bw_need = demand.bw_need;
   op.work = demand.solo_us;
 
-  // Per-op tracking (hazard sets, completion bookkeeping, the functional
+  // Per-op tracking (hazard lists, completion bookkeeping, the functional
   // closure) binds once the id is assigned at commit — before the op can
   // start — in both the per-call and the batched mode. The kernel-write
   // residency transition lives in the bind too: it is issue-time state
   // (the next call's staging decisions must see it even while a batch is
   // open), and a recorded replay re-runs binds, so replayed write-kernels
   // re-invalidate host/peer copies exactly like the original issue did.
-  struct Use {
-    ArrayId id;
-    bool write;
-  };
-  std::vector<Use> used;
-  used.reserve(spec.arrays.size());
-  for (const ArrayUse& use : spec.arrays) used.push_back({use.id, use.write});
-  // The use list is moved through the bind into the completion closure —
-  // one allocation per launch instead of a copy per capture.
-  auto bind = [this, used = std::move(used), dev,
-               fn = spec.functional](Engine& eng, OpId op_id) mutable {
-    for (const Use& u : used) {
-      ArrayInfo& a = memory_.info(u.id);
-      (u.write ? a.pending_writes : a.pending_reads).insert(op_id);
-      // The kernel materializes the array on `dev`, which now owns the
-      // only current copy of every page; host and peer copies are stale.
-      if (u.write) a.note_kernel_write(dev);
-    }
-    eng.set_on_complete(op_id, [this, used = std::move(used), op_id, fn]() {
-      for (const Use& u : used) {
-        if (ArrayInfo* a = memory_.find(u.id)) a->erase_pending(op_id);
-      }
-      if (fn) fn();
+  // What the bind and the completion read lives in a launch record.
+  std::uint32_t launch_id = 0;
+  if (free_launches_.empty()) {
+    launch_id = static_cast<std::uint32_t>(launches_.size());
+    launches_.emplace_back();
+  } else {
+    launch_id = free_launches_.back();
+    free_launches_.pop_back();
+  }
+  LaunchRecord& rec = launches_[launch_id];
+  rec.arrays.assign(spec.arrays.begin(), spec.arrays.end());
+  rec.functional = spec.functional;
+  rec.device = dev;
+  rec.recorded = record_ != nullptr;
+  OpId op_id = kInvalidOp;
+  try {
+    op_id = issue_op(std::move(op), [this, launch_id](Engine& eng, OpId id) {
+      bind_launch(eng, launch_id, id);
     });
-  };
-  const OpId op_id = issue_op(std::move(op), std::move(bind));
+  } catch (...) {
+    if (rec.in_flight == 0 && !rec.recorded) release_launch(launch_id);
+    throw;
+  }
 
   for (const ArrayUse& use : spec.arrays) {
     if (!use.write) continue;
@@ -886,6 +885,65 @@ OpId GpuRuntime::launch(StreamId stream, const LaunchSpec& spec) {
     }
   }
   return op_id;
+}
+
+void GpuRuntime::bind_launch(Engine& eng, std::uint32_t launch, OpId op) {
+  LaunchRecord& rec = launches_[launch];
+  for (const ArrayUse& u : rec.arrays) {
+    ArrayInfo& a = memory_.info(u.id);
+    (u.write ? a.pending_writes : a.pending_reads).push_back(op);
+    // The kernel materializes the array on its device, which now owns the
+    // only current copy of every page; host and peer copies are stale.
+    if (u.write) a.note_kernel_write(rec.device);
+  }
+  ++rec.in_flight;
+  eng.set_on_complete(op, on_complete_of({op, kInvalidArray, launch}));
+}
+
+void GpuRuntime::bind_staging(Engine& eng, ArrayId array, DeviceId device,
+                              OpId op) {
+  if (!memory_.valid(array)) return;
+  ArrayInfo& a = memory_.info(array);
+  a.pending_reads.push_back(op);  // reads the source copy
+  // Freshness is issue-time state (later staging decisions branch on it);
+  // living in the bind, a recorded replay re-publishes the copy exactly
+  // like the original issue did.
+  a.note_migrated(device);
+  eng.set_on_complete(op, on_complete_of({op, array}));
+}
+
+std::function<void()> GpuRuntime::on_complete_of(const PendingOp& p) {
+  std::uint32_t slot = 0;
+  if (free_pending_.empty()) {
+    slot = static_cast<std::uint32_t>(pending_ops_.size());
+    pending_ops_.push_back(p);
+  } else {
+    slot = free_pending_.back();
+    free_pending_.pop_back();
+    pending_ops_[slot] = p;
+  }
+  return [this, slot]() { complete(slot); };
+}
+
+void GpuRuntime::complete(std::uint32_t slot) {
+  const PendingOp p = pending_ops_[slot];
+  free_pending_.push_back(slot);
+  if (p.launch == kNoLaunch) {
+    if (ArrayInfo* a = memory_.find(p.array)) a->erase_pending(p.op);
+    if (p.evict) evict_inflight_.erase(p.op);
+    return;
+  }
+  LaunchRecord& rec = launches_[p.launch];
+  for (const ArrayUse& u : rec.arrays) {
+    if (ArrayInfo* a = memory_.find(u.id)) a->erase_pending(p.op);
+  }
+  if (rec.functional) rec.functional();
+  if (--rec.in_flight == 0 && !rec.recorded) release_launch(p.launch);
+}
+
+void GpuRuntime::release_launch(std::uint32_t launch) {
+  launches_[launch].functional = nullptr;  // drop captured arguments now
+  free_launches_.push_back(launch);
 }
 
 void GpuRuntime::run_prefetch_pass(TenantId tenant) {
@@ -972,11 +1030,9 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step,
     Op op;
     op.kind = OpKind::CopyD2H;
     op.stream = stream;
-    op.name =
-        "evict:" + memory_.info(shared_victims->front()).name +
-        (shared_victims->size() > 1
-             ? "+" + std::to_string(shared_victims->size() - 1)
-             : std::string());
+    op.name = merged_name("evict:",
+                          memory_.info(shared_victims->front()).name,
+                          shared_victims->size());
     op.bytes = evict_bytes;
     op.work = op.bytes;
     // The page-out reads the device copies: register the in-flight read on
@@ -987,7 +1043,7 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step,
     // allocation for the step instead of a vector copy per capture.
     issue_op(std::move(op), [this, shared_victims](Engine& eng, OpId op_id) {
       for (const ArrayId aid : *shared_victims) {
-        if (ArrayInfo* a = memory_.find(aid)) a->pending_reads.insert(op_id);
+        if (ArrayInfo* a = memory_.find(aid)) a->pending_reads.push_back(op_id);
       }
       evict_inflight_.insert(op_id);
       eng.set_on_complete(op_id, [this, shared_victims, op_id]() {
@@ -1004,17 +1060,15 @@ void GpuRuntime::issue_prefetch_step(const PrefetchStep& step,
   const std::string tag =
       shared_movers->empty()
           ? std::string()
-          : memory_.info(shared_movers->front()).name +
-                (shared_movers->size() > 1
-                     ? "+" + std::to_string(shared_movers->size() - 1)
-                     : std::string());
+          : merged_name("", memory_.info(shared_movers->front()).name,
+                        shared_movers->size());
   // The bind is shared by the host fetch and every peer fetch; like the
   // victims, the mover list rides a shared_ptr.
   const auto bind = [this, shared_movers, dev](Engine& eng, OpId op_id) {
     for (const ArrayId aid : *shared_movers) {
       ArrayInfo* ai = memory_.find(aid);
       if (ai == nullptr) continue;
-      ai->pending_reads.insert(op_id);
+      ai->pending_reads.push_back(op_id);
       ai->note_migrated(dev);
     }
     eng.set_on_complete(op_id, [this, shared_movers, op_id]() {
@@ -1097,7 +1151,5 @@ void GpuRuntime::end_capture() {
   if (capture_ == nullptr) throw ApiError("end_capture: not capturing");
   capture_ = nullptr;
 }
-
-bool GpuRuntime::spec_page_fault() const { return engine_.spec().page_fault_um; }
 
 }  // namespace psched::sim

@@ -49,6 +49,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -373,7 +375,6 @@ class GpuRuntime {
   /// outright, keeping such replays bit-identical (stamps included).
   void replay_admit(const Submission& sub);
   void note_host_access(ArrayId id, bool for_write);
-  [[nodiscard]] bool spec_page_fault() const;
   /// Internal per-(device, tenant) stream used for runtime-initiated
   /// transfers (eviction write-backs, host-read D2H). Keyed by the tenant
   /// whose admission or access caused the traffic — the launching stream's
@@ -403,6 +404,38 @@ class GpuRuntime {
   OpId issue_op(Op op, Submission::BindFn bind);
   void issue_record(EventId event, StreamId stream);
   void issue_wait(StreamId stream, EventId event);
+
+  // --- per-op bookkeeping without per-op heap allocations ---
+  // Binds and completion closures capture only `this` and a small handle,
+  // which std::function stores inline; what they need lives in the tables
+  // below, whose slots are recycled.
+  static constexpr std::uint32_t kNoLaunch = ~std::uint32_t{0};
+  /// What a kernel launch's bind and completion read. A launch teed into
+  /// a recording keeps its slot for the runtime's lifetime: the recorded
+  /// bind re-runs at every replay. Other slots are recycled when the
+  /// launch's op completes.
+  struct LaunchRecord {
+    std::vector<ArrayUse> arrays;
+    std::function<void()> functional;
+    DeviceId device = kDefaultDevice;
+    int in_flight = 0;  ///< bound ops not yet complete
+    bool recorded = false;
+  };
+  /// One in-flight op whose completion must clear pending-op tracking.
+  struct PendingOp {
+    OpId op = kInvalidOp;
+    ArrayId array = kInvalidArray;     ///< staging and page-out ops
+    std::uint32_t launch = kNoLaunch;  ///< kernel launches
+    bool evict = false;                ///< page-out: also in evict_inflight_
+  };
+  /// A completion closure for `p`: registers it in pending_ops_.
+  [[nodiscard]] std::function<void()> on_complete_of(const PendingOp& p);
+  void complete(std::uint32_t slot);
+  void release_launch(std::uint32_t launch);
+  /// Bind of a kernel launch (see launch()).
+  void bind_launch(Engine& eng, std::uint32_t launch, OpId op);
+  /// Bind of a staging op moving `array` to `device` (see stage_to_device).
+  void bind_staging(Engine& eng, ArrayId array, DeviceId device, OpId op);
   /// flush_ingest for every shard (the observing entries that name no
   /// tenant).
   void flush_all_ingest();
@@ -435,6 +468,14 @@ class GpuRuntime {
   Submission* record_ = nullptr;
   bool record_owns_batch_ = false;
   std::vector<ArrayId> admit_scratch_;  ///< per-launch working-set ids
+  /// Per-host-read scratch: bytes to migrate back, by source device.
+  std::vector<std::pair<DeviceId, double>> read_sources_;
+  /// Launch records by slot; a deque, so a functional closure that
+  /// launches again cannot move the record it runs from.
+  std::deque<LaunchRecord> launches_;
+  std::vector<std::uint32_t> free_launches_;
+  std::vector<PendingOp> pending_ops_;  ///< by completion slot
+  std::vector<std::uint32_t> free_pending_;
   /// In-flight eviction write-back ops: runtime-initiated traffic that
   /// free_array drains instead of reporting as a missing user sync.
   std::unordered_set<OpId> evict_inflight_;

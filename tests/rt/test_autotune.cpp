@@ -8,6 +8,16 @@
 namespace psched::rt {
 namespace {
 
+// The tuner keys kernels by their registry definition.
+KernelDef named(const char* name) {
+  KernelDef def;
+  def.name = name;
+  return def;
+}
+const KernelDef kK = named("k");
+const KernelDef kA = named("a");
+const KernelDef kB = named("b");
+
 TEST(Autotune, CandidatesMatchPaperSweep) {
   const auto& c = BlockSizeTuner::candidates();
   ASSERT_GE(c.size(), 2u);
@@ -19,57 +29,57 @@ TEST(Autotune, CandidatesMatchPaperSweep) {
 TEST(Autotune, ExploresEveryCandidateFirst) {
   BlockSizeTuner t;
   for (long expected : BlockSizeTuner::candidates()) {
-    const long got = t.recommend("k", 1e6);
+    const long got = t.recommend(kK, 1e6);
     EXPECT_EQ(got, expected);
-    t.record("k", got, /*solo_us=*/100, /*work_items=*/1e6);
+    t.record(kK, got, /*solo_us=*/100, /*work_items=*/1e6);
   }
-  EXPECT_TRUE(t.explored("k", 1e6));
+  EXPECT_TRUE(t.explored(kK, 1e6));
 }
 
 TEST(Autotune, ConvergesToFastestObserved) {
   BlockSizeTuner t;
   // 256 is twice as fast per item as everything else.
   for (long c : BlockSizeTuner::candidates()) {
-    t.record("k", c, c == 256 ? 50.0 : 100.0, 1e6);
+    t.record(kK, c, c == 256 ? 50.0 : 100.0, 1e6);
   }
-  EXPECT_EQ(t.recommend("k", 1e6), 256);
+  EXPECT_EQ(t.recommend(kK, 1e6), 256);
 }
 
 TEST(Autotune, TiesBreakTowardLargerBlocks) {
   BlockSizeTuner t;
-  for (long c : BlockSizeTuner::candidates()) t.record("k", c, 100.0, 1e6);
-  EXPECT_EQ(t.recommend("k", 1e6), 1024);
+  for (long c : BlockSizeTuner::candidates()) t.record(kK, c, 100.0, 1e6);
+  EXPECT_EQ(t.recommend(kK, 1e6), 1024);
 }
 
 TEST(Autotune, BucketsSeparateDataSizes) {
   BlockSizeTuner t;
   for (long c : BlockSizeTuner::candidates()) {
-    t.record("k", c, c == 32 ? 1.0 : 2.0, /*work_items=*/1e3);
+    t.record(kK, c, c == 32 ? 1.0 : 2.0, /*work_items=*/1e3);
   }
-  EXPECT_EQ(t.recommend("k", 1e3), 32);        // tuned bucket
-  EXPECT_EQ(t.recommend("k", 1e6), 32 /*explore from scratch*/);
-  EXPECT_FALSE(t.explored("k", 1e6));
+  EXPECT_EQ(t.recommend(kK, 1e3), 32);        // tuned bucket
+  EXPECT_EQ(t.recommend(kK, 1e6), 32 /*explore from scratch*/);
+  EXPECT_FALSE(t.explored(kK, 1e6));
 }
 
 TEST(Autotune, KernelsAreIndependent) {
   BlockSizeTuner t;
-  for (long c : BlockSizeTuner::candidates()) t.record("a", c, 100.0, 1e6);
-  EXPECT_FALSE(t.explored("b", 1e6));
-  EXPECT_EQ(t.recommend("b", 1e6), 32);
+  for (long c : BlockSizeTuner::candidates()) t.record(kA, c, 100.0, 1e6);
+  EXPECT_FALSE(t.explored(kB, 1e6));
+  EXPECT_EQ(t.recommend(kB, 1e6), 32);
 }
 
 TEST(Autotune, LaterBetterSampleReplacesIncumbent) {
   BlockSizeTuner t;
-  for (long c : BlockSizeTuner::candidates()) t.record("k", c, 100.0, 1e6);
-  t.record("k", 64, 10.0, 1e6);  // conditions changed: 64 now wins
-  EXPECT_EQ(t.recommend("k", 1e6), 64);
+  for (long c : BlockSizeTuner::candidates()) t.record(kK, c, 100.0, 1e6);
+  t.record(kK, 64, 10.0, 1e6);  // conditions changed: 64 now wins
+  EXPECT_EQ(t.recommend(kK, 1e6), 64);
 }
 
 TEST(Autotune, IgnoresDegenerateSamples) {
   BlockSizeTuner t;
-  t.record("k", 32, 0.0, 1e6);
-  t.record("k", 32, 100.0, 0.0);
-  EXPECT_EQ(t.samples("k", 1e6), 0);
+  t.record(kK, 32, 0.0, 1e6);
+  t.record(kK, 32, 100.0, 0.0);
+  EXPECT_EQ(t.samples(kK, 1e6), 0);
 }
 
 TEST(Autotune, ContextRecordsLaunchHistory) {
@@ -82,7 +92,7 @@ TEST(Autotune, ContextRecordsLaunchHistory) {
   scale(16, 256)(x, kN, 2.0);
   scale(32, 128)(x, kN, 2.0);
   ctx.synchronize();
-  EXPECT_EQ(ctx.tuner().samples("scale", kN), 2);
+  EXPECT_EQ(ctx.tuner().samples(scale.def(), kN), 2);
 }
 
 TEST(Autotune, AutotunedLaunchExploresThenExploits) {
@@ -98,13 +108,13 @@ TEST(Autotune, AutotunedLaunchExploresThenExploits) {
     scale.autotuned(kN)(x, kN, 2.0);
     ctx.synchronize();
   }
-  EXPECT_TRUE(ctx.tuner().explored("scale", kN));
+  EXPECT_TRUE(ctx.tuner().explored(scale.def(), kN));
   // The exploit-phase recommendation never leaves the candidate set and
   // stays stable across repeated queries.
-  const long pick = ctx.tuner().recommend("scale", kN);
+  const long pick = ctx.tuner().recommend(scale.def(), kN);
   const auto& cands = BlockSizeTuner::candidates();
   EXPECT_NE(std::find(cands.begin(), cands.end(), pick), cands.end());
-  EXPECT_EQ(ctx.tuner().recommend("scale", kN), pick);
+  EXPECT_EQ(ctx.tuner().recommend(scale.def(), kN), pick);
   // On the latency-hiding cost model, bigger blocks dominate tiny ones.
   EXPECT_GT(pick, 32);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "rt_test_util.hpp"
+#include "sim/graph.hpp"
 
 namespace psched::rt {
 namespace {
@@ -282,6 +283,86 @@ TEST(Context, FreshOutputArraysTransferNothing) {
   ctx.synchronize();
   const double moved = f.gpu->bytes_h2d() + f.gpu->bytes_faulted();
   EXPECT_DOUBLE_EQ(moved, static_cast<double>(kN) * sizeof(float));
+}
+
+// A kernel given the same array twice — once const, once written — has one
+// coalesced use: one LaunchSpec array (a write), one staged transfer, and
+// one DAG edge per parent. Serial computes no dependencies, so its DAG has
+// no edges at all.
+TEST(Context, ArrayPassedTwiceIsOneWrittenUse) {
+  constexpr long kN = 1 << 12;
+  const double bytes = static_cast<double>(kN) * sizeof(float);
+  for (const SchedulePolicy policy :
+       {SchedulePolicy::Parallel, SchedulePolicy::Serial}) {
+    SCOPED_TRACE(to_string(policy));
+    Options opts;
+    opts.policy = policy;
+
+    // The launch description, as stream capture sees it.
+    {
+      Fixture f(opts);
+      auto& ctx = *f.ctx;
+      auto x = ctx.array<float>(static_cast<std::size_t>(kN), "X");
+      auto y = ctx.array<float>(static_cast<std::size_t>(kN), "Y");
+      x.fill(1.0);
+      y.fill(1.0);
+      auto add2 = ctx.build_kernel(
+          "add2", "const pointer, const pointer, pointer, sint32");
+      sim::TaskGraph graph;
+      f.gpu->begin_capture(graph);
+      add2(16, 256)(x, y, x, kN);
+      f.gpu->end_capture();
+      ASSERT_EQ(graph.num_nodes(), 1u);
+      const auto& arrays = graph.nodes().front().spec.arrays;
+      ASSERT_EQ(arrays.size(), 2u);
+      EXPECT_EQ(arrays[0].id, x.state()->sim_id);
+      EXPECT_TRUE(arrays[0].write);
+      EXPECT_EQ(arrays[1].id, y.state()->sim_id);
+      EXPECT_FALSE(arrays[1].write);
+    }
+
+    Fixture f(opts);
+    auto& ctx = *f.ctx;
+    auto x = ctx.array<float>(static_cast<std::size_t>(kN), "X");
+    auto y = ctx.array<float>(static_cast<std::size_t>(kN), "Y");
+    x.fill(1.0);
+    auto init = ctx.build_kernel("init", "pointer, sint32, float");
+    auto add2 = ctx.build_kernel(
+        "add2", "const pointer, const pointer, pointer, sint32");
+    auto affine = ctx.build_kernel("affine", "const pointer, pointer, sint32");
+    init(16, 256)(y, kN, 2.0);    // 0: parent through Y
+    add2(16, 256)(x, y, x, kN);   // 1: x = x + y
+    affine(16, 256)(x, x, kN);    // 2: x = 2x + x, parent 1 through X twice
+    ctx.synchronize();
+
+    // One staged transfer: X once, although passed twice.
+    int transfers = 0;
+    double moved = 0;
+    for (const sim::TimelineEntry& e : f.gpu->timeline().entries()) {
+      if (e.kind == sim::OpKind::CopyH2D || e.kind == sim::OpKind::Fault) {
+        ++transfers;
+        moved += e.bytes;
+      }
+    }
+    EXPECT_EQ(transfers, 1);
+    EXPECT_DOUBLE_EQ(moved, bytes);
+    // The write was issued: the device holds the newest X, so reading it
+    // back migrates it once.
+    x.touch_read();
+    EXPECT_DOUBLE_EQ(f.gpu->bytes_d2h(), bytes);
+
+    const auto& dag = ctx.dag();
+    if (policy == SchedulePolicy::Parallel) {
+      EXPECT_EQ(dag.num_edges(), 2u);  // the read follows a synchronize
+      EXPECT_TRUE(dag.has_edge(0, 1));
+      EXPECT_TRUE(dag.has_edge(1, 2));
+      EXPECT_EQ(ctx.computations()[2]->parents.size(), 1u);
+    } else {
+      EXPECT_EQ(dag.num_edges(), 0u);
+    }
+    EXPECT_EQ(ctx.computations()[1]->uses.size(), 2u);
+    EXPECT_EQ(ctx.computations()[2]->uses.size(), 1u);
+  }
 }
 
 TEST(Context, HostRewriteRearmsMigration) {

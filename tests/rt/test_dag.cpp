@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
+#include <string>
 
 #include "runtime/dag.hpp"
 #include "rt_test_util.hpp"
@@ -9,11 +11,17 @@
 namespace psched::rt {
 namespace {
 
+/// Vertices reference their names, which must outlive the recorder.
+const std::string& stable_name(const std::string& label) {
+  static std::set<std::string> names;
+  return *names.insert(label).first;
+}
+
 Computation make_comp(long id, const std::string& label, double solo_us = 10,
                       double bytes = 0) {
   Computation c;
   c.id = id;
-  c.label = label;
+  c.name = &stable_name(label);
   c.solo_us = solo_us;
   c.transfer_bytes = bytes;
   return c;

@@ -150,7 +150,7 @@ TEST(MultiGpu, MinTransferFollowsResidency) {
   auto sum = ctx.build_kernel("sum", "const pointer, pointer, sint32");
   auto out = ctx.array<float>(16, "out");
   sum(1, 32)(b, out, static_cast<long>(kN));
-  const Computation* reducer = ctx.computations().back().get();
+  const Computation* reducer = ctx.computations().back();
   EXPECT_EQ(reducer->device, 1);
   ctx.synchronize();
   EXPECT_DOUBLE_EQ(f.gpu->bytes_p2p(), 0.0);  // nothing crossed the links
@@ -314,6 +314,31 @@ TEST(MultiGpu, PerDeviceStreamPoolsReuseIndependently) {
   EXPECT_EQ(ctx.stats().streams_created, 2);
   EXPECT_EQ(ctx.stream_manager().num_streams(0), 1u);
   EXPECT_EQ(ctx.stream_manager().num_streams(1), 1u);
+}
+
+// MinTransfer prices an array passed as several arguments once: it
+// migrates once. X (4000 B) is fresh on device 1 and Y (6000 B) on device
+// 0, so add2(X, Y, X) costs 4000 B on device 0 and 6000 B on device 1;
+// pricing X per argument would make device 0 look like 8000 B.
+TEST(MultiGpu, MinTransferCostsAnArrayPassedTwiceOnce) {
+  Options opts;
+  opts.device_policy = DevicePolicy::MinTransfer;
+  Fixture f(opts, two_gpus());
+  auto& ctx = *f.ctx;
+  auto y = ctx.array<float>(1500, "Y");
+  auto x = ctx.array<float>(1000, "X");
+  launch_init(ctx, y, 1);  // all-equal costs: round-robin -> device 0
+  launch_init(ctx, x, 2);  //                               -> device 1
+  ctx.synchronize();
+  ASSERT_EQ(ctx.computations()[0]->device, 0);
+  ASSERT_EQ(ctx.computations()[1]->device, 1);
+
+  auto add2 = ctx.build_kernel(
+      "add2", "const pointer, const pointer, pointer, sint32");
+  add2(4, 64)(x, y, x, 1000L);
+  EXPECT_EQ(ctx.computations().back()->device, 0);
+  ctx.synchronize();
+  EXPECT_DOUBLE_EQ(f.gpu->bytes_p2p(), static_cast<double>(x.bytes()));
 }
 
 }  // namespace

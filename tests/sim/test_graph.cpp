@@ -323,6 +323,34 @@ TEST_F(GraphTest, RecordedRelaunchReappliesWriteTransitions) {
   EXPECT_GT(rt_.bytes_d2h(), d2h_after_first);
 }
 
+TEST_F(GraphTest, RecordedRelaunchKeepsItsLaunchStateAcrossPerCallLaunches) {
+  // A recorded launch's bind re-runs at every replay, so the launch state
+  // it reads (arrays, functional closure) must survive per-call launches
+  // that recycle the runtime's launch slots in between.
+  const ArrayId a = rt_.alloc(1000, "a");
+  const ArrayId b = rt_.alloc(1000, "b");
+  rt_.host_write(a);
+  int runs = 0;
+  LaunchSpec k = kernel_spec("k", {{a, true}});
+  k.functional = [&runs] { ++runs; };
+  TaskGraph g;
+  g.add_kernel(k);
+  auto exec = g.instantiate(rt_);
+  exec.launch(rt_, TaskGraph::Replay::Recorded);
+  rt_.synchronize_device();
+  rt_.host_read(a);
+  for (int i = 0; i < 8; ++i) {
+    rt_.launch(kDefaultStream, kernel_spec("other", {{b, true}}));
+    rt_.synchronize_device();
+  }
+  exec.launch(rt_, TaskGraph::Replay::Recorded);
+  rt_.synchronize_device();
+  EXPECT_EQ(runs, 2);
+  EXPECT_TRUE(rt_.memory().info(a).device_dirty);  // the replay wrote `a`
+  EXPECT_FALSE(rt_.memory().info(a).has_pending());
+  EXPECT_NO_THROW(rt_.host_read(a));
+}
+
 TEST_F(GraphTest, FailedRecordingDetachesAndDiscards) {
   // A lowering that throws mid-recording (single-op working set beyond
   // device capacity) must leave the runtime not recording and the Exec

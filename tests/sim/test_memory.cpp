@@ -94,10 +94,10 @@ TEST_F(MemoryTest, UnknownArrayThrows) {
 
 TEST_F(MemoryTest, FreeWithPendingOpsThrows) {
   const ArrayId a = mem_.alloc(100, "a");
-  mem_.info(a).pending_reads.insert(7);
+  mem_.info(a).pending_reads.push_back(7);
   EXPECT_THROW(mem_.free_array(a), ApiError);
   mem_.info(a).erase_pending(7);
-  mem_.info(a).pending_writes.insert(9);
+  mem_.info(a).pending_writes.push_back(9);
   EXPECT_THROW(mem_.free_array(a), ApiError);
   mem_.info(a).erase_pending(9);
   EXPECT_NO_THROW(mem_.free_array(a));
@@ -201,7 +201,7 @@ TEST_F(PerDeviceMemoryTest, PendingAndPinnedPagesAreNotEvictable) {
   const ArrayId c = mem_.alloc(2000, "c");
   mem_.charge_residency(mem_.info(a), 1);
   mem_.charge_residency(mem_.info(b), 1);  // device 1 full (4000)
-  mem_.info(a).pending_reads.insert(7);    // a: in-flight device op
+  mem_.info(a).pending_reads.push_back(7);    // a: in-flight device op
   mem_.set_pinned(mem_.info(b), 1, true);  // b: pinned
   try {
     mem_.charge_residency(mem_.info(c), 1);
